@@ -1,14 +1,16 @@
 // Micro-benchmarks of the hot simulator/algorithm components
-// (google-benchmark): event queue, Best-Fit consolidation, broadcast math,
-// decode-latency model, policy update.
+// (google-benchmark): event queue, replica decode advance, Best-Fit
+// consolidation, broadcast math, decode-latency model, policy update.
 #include <benchmark/benchmark.h>
 
+#include "src/cluster/hardware.h"
 #include "src/common/rng.h"
 #include "src/llm/decode_model.h"
 #include "src/llm/model_spec.h"
 #include "src/policy/policy.h"
 #include "src/relay/broadcast_model.h"
 #include "src/repack/best_fit.h"
+#include "src/rollout/replica.h"
 #include "src/sim/simulator.h"
 
 namespace laminar {
@@ -46,6 +48,35 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(16384);
+
+// One replica drains a batch of single-segment works whose lengths differ by
+// one token, so every advance is one decode step that ends exactly one
+// member's segment. Items are advance events; the per-event cost shows how
+// an advance scales with batch size.
+void BM_ReplicaAdvance(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  DecodeModel decode(Qwen25_7B(), MachineSpec{}, 1);
+  ReplicaConfig rc;
+  rc.max_concurrency = batch;
+  int64_t events = 0;
+  for (auto _ : state) {
+    Simulator sim;
+    RolloutReplica replica(&sim, rc, decode, decode.KvCapacityTokens());
+    std::vector<TrajectoryWork> works(batch);
+    for (int i = 0; i < batch; ++i) {
+      TrajectoryWork& w = works[i];
+      w.record.id = i;
+      w.record.spec.prompt_tokens = 64;
+      w.record.spec.AppendSegment({32 + i, 0.0, 0});
+      w.InitContext();
+    }
+    replica.AssignWork(std::move(works));
+    sim.RunUntilIdle();
+    events += static_cast<int64_t>(sim.executed_events());
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_ReplicaAdvance)->Arg(16)->Arg(256)->Arg(1024);
 
 void BM_BestFitConsolidation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

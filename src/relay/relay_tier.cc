@@ -54,12 +54,19 @@ void RelayTier::RestoreContinuation(uint16_t kind, const ContinuationPayload& p,
   }
   LAMINAR_CHECK_EQ(kind, kContArrival)
       << "relay tier: unknown restored continuation kind " << kind;
-  // Re-anchor the arrival on its receiving relay's lane and re-seat the
-  // pending-arrival bookkeeping the adopted map carries.
+  // Re-anchor the arrival on its receiving relay's lane and re-seat its event
+  // id on the pending entry the adopted map carries for it. The heap can
+  // also hold arrivals no entry references: ReviveRelay clears the map
+  // without cancelling them, and ScheduleArrival replaces an entry without
+  // cancelling its old event. Those re-mint as the same orphans they were,
+  // so an entry is matched on its arrival time and never created here.
   EventId id = sim_->ScheduleLaneControlAt(
       sim_->AffinityShard(static_cast<int>(p.a)), at, kRelayComp, kind, p);
-  relays_[static_cast<int>(p.a)].pending[static_cast<int>(p.b)] =
-      PendingArrival{id, at};
+  auto& pending = relays_[static_cast<int>(p.a)].pending;
+  auto it = pending.find(static_cast<int>(p.b));
+  if (it != pending.end() && it->second.at == at) {
+    it->second.event = id;
+  }
 }
 
 void RelayTier::ScheduleArrival(int relay, int version, SimTime at) {

@@ -9,6 +9,13 @@
 #include "src/trace/trace.h"
 
 namespace laminar {
+namespace {
+
+// Tombstones a batch or env vector may carry beyond half its live entries
+// before it is compacted.
+constexpr size_t kTombstoneSlack = 16;
+
+}  // namespace
 
 const char* ReplicaPhaseName(ReplicaPhase phase) {
   switch (phase) {
@@ -48,7 +55,7 @@ void RolloutReplica::RunContinuation(uint16_t kind, const ContinuationPayload& p
       Advance(p.a);
       return;
     case kContEnvRejoin:
-      RejoinFromEnv(FindEnvBySeq(static_cast<uint64_t>(p.a)));
+      RejoinFromEnv(static_cast<uint64_t>(p.a));
       return;
   }
   LAMINAR_CHECK(false) << "unknown replica continuation kind " << kind;
@@ -65,15 +72,12 @@ void RolloutReplica::RestoreContinuation(uint16_t kind, const ContinuationPayloa
       advance_event_ = sim_->ScheduleContinuationAtOn(config_.shard, at, comp, kind, p);
       return;
     case kContEnvRejoin: {
-      // The payload carries the env seq — the stable key into env_waiting_
-      // (slab handles are NOT stable across a restore: adoption re-inserts
-      // the entries). Re-scheduling the identical payload keeps the re-minted
-      // heap byte-equal to the blob's event_heap section.
-      EnvEntry* entry =
-          env_waiting_.Get(FindEnvBySeq(static_cast<uint64_t>(p.a)));
-      LAMINAR_CHECK(entry != nullptr)
-          << "pending env rejoin for unknown seq " << p.a;
-      entry->event = sim_->ScheduleContinuationAtOn(config_.shard, at, comp, kind, p);
+      // The payload carries the env seq — the stable key into env_waiting_,
+      // which adoption rebuilt in seq order. Re-scheduling the identical
+      // payload keeps the re-minted heap byte-equal to the blob's event_heap
+      // section.
+      EnvEntry& entry = env_waiting_[FindEnvBySeq(static_cast<uint64_t>(p.a))];
+      entry.event = sim_->ScheduleContinuationAtOn(config_.shard, at, comp, kind, p);
       return;
     }
   }
@@ -84,16 +88,16 @@ void RolloutReplica::RestoreContinuation(uint16_t kind, const ContinuationPayloa
 void RolloutReplica::TouchMetrics() {
   SimTime now = sim_->Now();
   metrics_.kv_used_tokens.Set(now, kv_used_tokens_);
-  metrics_.batch_size.Set(now, static_cast<double>(running_.size()));
-  metrics_.busy.Set(now, running_.empty() ? 0.0 : 1.0);
+  metrics_.batch_size.Set(now, static_cast<double>(batch_size_));
+  metrics_.busy.Set(now, batch_size_ == 0 ? 0.0 : 1.0);
   LAMINAR_TRACE_COUNTER(sim_, TraceComponent::kReplica, "replica/kv_used", config_.id,
                         kv_used_tokens_);
   LAMINAR_TRACE_COUNTER(sim_, TraceComponent::kReplica, "replica/batch_size", config_.id,
-                        static_cast<double>(running_.size()));
+                        static_cast<double>(batch_size_));
   // Busy edges become decode_busy spans, emitted retroactively at the falling
   // edge. Edge tracking runs unconditionally so a sink attached later still
   // sees correct begins, and stays out of the integrator state.
-  bool busy_now = !running_.empty();
+  bool busy_now = batch_size_ > 0;
   if (busy_now && !trace_was_busy_) {
     trace_busy_since_ = now;
   } else if (!busy_now && trace_was_busy_) {
@@ -163,11 +167,11 @@ std::vector<TrajectoryWork> RolloutReplica::PreemptRolloutForServing(double need
   size_t scan = running_.size();
   while (scan > 0 && kv_capacity_tokens_ - kv_used_tokens_ < needed_tokens) {
     --scan;
-    if (IsServingId(running_[scan].record.id)) {
-      continue;  // serving never evicts serving
+    const BatchMember& m = running_[scan];
+    if (!m.live || IsServingId(m.work.record.id)) {
+      continue;  // tombstone, or serving (serving never evicts serving)
     }
-    TrajectoryWork victim = std::move(running_[scan]);
-    running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(scan));
+    TrajectoryWork victim = LeaveBatch(scan);
     kv_used_tokens_ -= static_cast<double>(victim.context_tokens);
     victim.kv_resident = false;
     LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kReplica, "replica/serving_preempt",
@@ -175,6 +179,7 @@ std::vector<TrajectoryWork> RolloutReplica::PreemptRolloutForServing(double need
     ++metrics_.preemptions;
     evicted.push_back(std::move(victim));
   }
+  TrimBatch();
   if (phase_ == ReplicaPhase::kGenerating) {
     ScheduleAdvance();
   }
@@ -188,32 +193,31 @@ std::vector<TrajectoryWork> RolloutReplica::ExtractAllWork() {
   // Serving requests are latency-bound and pinned to their host: they stay
   // resident (running and queued) while every rollout sequence drains. With
   // the tier off this loop is the historical drain-everything path.
-  size_t keep = 0;
   for (size_t i = 0; i < running_.size(); ++i) {
-    TrajectoryWork& w = running_[i];
-    if (IsServingId(w.record.id)) {
-      if (keep != i) {
-        running_[keep] = std::move(w);
-      }
-      ++keep;
+    const BatchMember& m = running_[i];
+    if (!m.live || IsServingId(m.work.record.id)) {
       continue;
     }
+    TrajectoryWork w = LeaveBatch(i);
     kv_used_tokens_ -= static_cast<double>(w.context_tokens);
     out.push_back(std::move(w));
   }
-  running_.resize(keep);
+  TrimBatch();
   // Env-waiting work: the sandbox call outlives the hosting replica (results
   // flow through the manager), so we resolve the interaction here: feedback
   // is appended to the context and the trajectory resumes at its next
   // segment on the destination. Its cached KV on this replica is discarded.
-  // Cancellation and resolution both walk admission (seq) order, the old
-  // insertion order, so recovery order is unchanged.
-  std::vector<EntityHandle> env_handles = EnvHandlesInSeqOrder();
-  for (EntityHandle h : env_handles) {
-    sim_->Cancel(env_waiting_.Get(h)->event);
+  // Cancellation and resolution both walk admission (seq) order.
+  for (const EnvEntry& e : env_waiting_) {
+    if (e.live) {
+      sim_->Cancel(e.event);
+    }
   }
-  for (EntityHandle h : env_handles) {
-    TrajectoryWork w = std::move(env_waiting_.Remove(h).work);
+  for (size_t i = 0; i < env_waiting_.size(); ++i) {
+    if (!env_waiting_[i].live) {
+      continue;
+    }
+    TrajectoryWork w = TakeEnv(i);
     kv_used_tokens_ -= static_cast<double>(w.context_tokens);
     w.kv_resident = false;
     const TrajectorySegment& seg = w.current_segment();
@@ -226,6 +230,7 @@ std::vector<TrajectoryWork> RolloutReplica::ExtractAllWork() {
       out.push_back(std::move(w));
     }
   }
+  TrimEnv();
   std::deque<TrajectoryWork> kept_waiting;
   for (TrajectoryWork& w : waiting_) {
     if (IsServingId(w.record.id)) {
@@ -335,22 +340,27 @@ void RolloutReplica::Resume(int new_version, bool recompute_kv) {
         w.record.weight_versions.push_back(new_version);
       }
     };
-    for (auto& w : running_) {
-      stamp(w);
+    for (BatchMember& m : running_) {
+      if (m.live) {
+        stamp(m.work);
+      }
     }
-    env_waiting_.ForEach([&stamp](EntityHandle, EnvEntry& e) { stamp(e.work); });
+    for (EnvEntry& e : env_waiting_) {
+      if (e.live) {
+        stamp(e.work);
+      }
+    }
     if (recompute_kv) {
       // The cache holds activations of the *old* weights; every resident
       // context must be re-prefilled (the paper's partial-rollout overhead).
       // Context counts are integers below 2^53, so this double sum is exact
       // and independent of traversal order.
-      double recompute_tokens = 0.0;
-      for (const auto& w : running_) {
-        recompute_tokens += static_cast<double>(w.context_tokens);
+      double recompute_tokens = static_cast<double>(batch_ctx_tokens_);
+      for (const EnvEntry& e : env_waiting_) {
+        if (e.live) {
+          recompute_tokens += static_cast<double>(e.work.context_tokens);
+        }
       }
-      env_waiting_.ForEach([&recompute_tokens](EntityHandle, const EnvEntry& e) {
-        recompute_tokens += static_cast<double>(e.work.context_tokens);
-      });
       pending_stall_seconds_ += decode_.PrefillLatency(recompute_tokens) / speed_factor_;
       metrics_.prefill_tokens += static_cast<int64_t>(recompute_tokens);
     }
@@ -364,8 +374,10 @@ void RolloutReplica::Resume(int new_version, bool recompute_kv) {
 
 std::vector<TrajectoryWork> RolloutReplica::Kill() {
   CancelAdvance();
-  for (EntityHandle h : EnvHandlesInSeqOrder()) {
-    sim_->Cancel(env_waiting_.Get(h)->event);
+  for (const EnvEntry& e : env_waiting_) {
+    if (e.live) {
+      sim_->Cancel(e.event);
+    }
   }
   // Running and env-waiting work streamed checkpoints to the partial pool at
   // admission, so the manager recovers those via TakeByReplica. Queued work
@@ -377,9 +389,10 @@ std::vector<TrajectoryWork> RolloutReplica::Kill() {
     w.kv_resident = false;
     discarded.push_back(std::move(w));
   }
-  running_.clear();
+  ClearBatch();
   waiting_.clear();
-  env_waiting_.Clear();
+  env_waiting_.clear();
+  num_env_ = 0;
   num_serving_ = 0;  // resident serving requests die with the machine
   kv_used_tokens_ = 0.0;
   pending_stall_seconds_ = 0.0;
@@ -415,45 +428,40 @@ void RolloutReplica::SetSpeedFactor(double factor) {
 }
 
 double RolloutReplica::ResidentKvTokens() const {
-  double total = 0.0;
-  for (const TrajectoryWork& w : running_) {
-    total += static_cast<double>(w.context_tokens);
-  }
-  env_waiting_.ForEach([&total](EntityHandle, const EnvEntry& e) {
-    if (e.work.kv_resident) {
+  // Context counts are integers below 2^53, so this double sum is exact.
+  double total = static_cast<double>(batch_ctx_tokens_);
+  for (const EnvEntry& e : env_waiting_) {
+    if (e.live && e.work.kv_resident) {
       total += static_cast<double>(e.work.context_tokens);
     }
-  });
+  }
   return total;
 }
 
-std::vector<EntityHandle> RolloutReplica::EnvHandlesInSeqOrder() const {
-  std::vector<EntityHandle> handles;
-  handles.reserve(env_waiting_.size());
-  env_waiting_.ForEach(
-      [&handles](EntityHandle h, const EnvEntry&) { handles.push_back(h); });
-  std::sort(handles.begin(), handles.end(),
-            [this](EntityHandle a, EntityHandle b) {
-              return env_waiting_.Get(a)->seq < env_waiting_.Get(b)->seq;
-            });
-  return handles;
+size_t RolloutReplica::FindEnvBySeq(uint64_t seq) const {
+  auto it = std::lower_bound(
+      env_waiting_.begin(), env_waiting_.end(), seq,
+      [](const EnvEntry& e, uint64_t key) { return e.seq < key; });
+  LAMINAR_CHECK(it != env_waiting_.end() && it->seq == seq && it->live)
+      << "env rejoin for unknown seq " << seq;
+  return static_cast<size_t>(it - env_waiting_.begin());
 }
 
-EntityHandle RolloutReplica::FindEnvBySeq(uint64_t seq) const {
-  // Linear scan over trajectories currently out on env calls. Rejoins fire
-  // once per sandbox round-trip — orders of magnitude rarer than decode
-  // steps — so the stable-key lookup costs nothing measurable, and the
-  // payload stays reconstructible (DESIGN.md §13).
-  EntityHandle found;
-  bool hit = false;
-  env_waiting_.ForEach([&](EntityHandle h, const EnvEntry& e) {
-    if (e.seq == seq) {
-      found = h;
-      hit = true;
-    }
-  });
-  LAMINAR_CHECK(hit) << "env rejoin for unknown seq " << seq;
-  return found;
+TrajectoryWork RolloutReplica::TakeEnv(size_t index) {
+  EnvEntry& e = env_waiting_[index];
+  e.live = false;
+  --num_env_;
+  return std::move(e.work);
+}
+
+void RolloutReplica::TrimEnv() {
+  while (!env_waiting_.empty() && !env_waiting_.back().live) {
+    env_waiting_.pop_back();
+  }
+  size_t live = static_cast<size_t>(num_env_);
+  if (env_waiting_.size() - live > live / 2 + kTombstoneSlack) {
+    std::erase_if(env_waiting_, [](const EnvEntry& e) { return !e.live; });
+  }
 }
 
 int64_t RolloutReplica::ObservedDecodeTokens() const {
@@ -473,12 +481,12 @@ RolloutReplica::DecodeProbeSample RolloutReplica::ObservedDecodeProbe() const {
           static_cast<int64_t>(std::floor(decode_elapsed / advance_step_latency_));
       done = std::min(done, advance_steps_);
       if (done > 0) {
-        double batch = static_cast<double>(running_.size());
+        double batch = static_cast<double>(batch_size_);
         double busy = static_cast<double>(done) * advance_step_latency_;
         s.busy_seconds += busy;
         s.request_seconds += busy * batch;
         s.ctx_request_seconds += busy * batch * advance_avg_ctx_;
-        s.tokens += done * static_cast<int64_t>(running_.size());
+        s.tokens += done * batch_size_;
       }
     }
   }
@@ -525,11 +533,9 @@ void RolloutReplica::SyncProgress() {
     done = std::max<int64_t>(done, 0);
   }
   if (done > 0) {
-    int64_t batch = static_cast<int64_t>(running_.size());
-    for (TrajectoryWork& w : running_) {
-      w.decoded_in_segment += done;
-      w.context_tokens += done;
-    }
+    int64_t batch = batch_size_;
+    vstep_ += done;
+    batch_ctx_tokens_ += batch * done;
     kv_used_tokens_ += static_cast<double>(batch * done);
     metrics_.decode_tokens += batch * done;
     CreditDecodeProbe(done, batch);
@@ -544,29 +550,24 @@ void RolloutReplica::ScheduleAdvance() {
     return;
   }
   SyncProgress();
-  if (running_.empty()) {
+  if (batch_size_ == 0) {
     TryAdmit();
-    if (running_.empty()) {
+    if (batch_size_ == 0) {
       TouchMetrics();
       return;  // everything is env-waiting or the replica drained
     }
   }
   PreemptForHeadroom();
-  if (running_.empty()) {
+  if (batch_size_ == 0) {
     TouchMetrics();
     return;
   }
-  int batch = static_cast<int>(running_.size());
-  // Integer accumulation: context counts stay below 2^53, so this equals the
-  // old double-by-double sum bit-for-bit while keeping the loop integer-only.
-  int64_t total_ctx = 0;
-  int64_t min_remaining = INT64_MAX;
-  for (const TrajectoryWork& w : running_) {
-    total_ctx += w.context_tokens;
-    min_remaining = std::min(min_remaining, w.remaining_in_segment());
-  }
+  int batch = batch_size_;
+  int64_t min_remaining = MinRemaining();
   LAMINAR_CHECK_GE(min_remaining, 1);
-  double avg_ctx = static_cast<double>(total_ctx) / batch;
+  // The context sum is an exact integer below 2^53, so avg_ctx is bit-equal
+  // to a per-member double re-sum.
+  double avg_ctx = static_cast<double>(batch_ctx_tokens_) / batch;
   double step_latency = decode_.StepLatency(batch, avg_ctx) / speed_factor_;
   int64_t kv_steps = static_cast<int64_t>(
       std::floor((kv_capacity_tokens_ - kv_used_tokens_) / batch));
@@ -591,21 +592,22 @@ void RolloutReplica::PreemptForHeadroom() {
   // steps; evicting the most recently admitted sequence frees its context
   // (it will re-prefill once space reappears). Serving requests are skipped
   // while any rollout sequence remains — the tier's KV priority.
-  while (!running_.empty() &&
+  while (batch_size_ > 0 &&
          kv_capacity_tokens_ - kv_used_tokens_ <
-             static_cast<double>(running_.size() * config_.kv_preempt_headroom_steps)) {
+             static_cast<double>(batch_size_ * config_.kv_preempt_headroom_steps)) {
+    // TrimBatch() keeps the last slot live: the most recently admitted member.
     size_t victim_idx = running_.size() - 1;
     if (num_serving_ > 0) {
       size_t i = running_.size();
-      while (i > 0 && IsServingId(running_[i - 1].record.id)) {
+      while (i > 0 && (!running_[i - 1].live || IsServingId(running_[i - 1].work.record.id))) {
         --i;
       }
       if (i > 0) {
         victim_idx = i - 1;
       }
     }
-    TrajectoryWork victim = std::move(running_[victim_idx]);
-    running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(victim_idx));
+    TrajectoryWork victim = LeaveBatch(victim_idx);
+    TrimBatch();
     kv_used_tokens_ -= static_cast<double>(victim.context_tokens);
     victim.kv_resident = false;
     LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kReplica, "replica/preempt", config_.id,
@@ -618,14 +620,14 @@ void RolloutReplica::PreemptForHeadroom() {
 void RolloutReplica::TryAdmit() {
   double admit_limit = kv_capacity_tokens_ * (1.0 - config_.admit_headroom_frac);
   while (!waiting_.empty()) {
-    int active = static_cast<int>(running_.size() + env_waiting_.size());
+    int active = batch_size_ + num_env_;
     if (active >= config_.max_concurrency) {
       break;
     }
     TrajectoryWork& front = waiting_.front();
     double needed = static_cast<double>(front.context_tokens);
     double growth_reserve = static_cast<double>(
-        (static_cast<int64_t>(running_.size()) + 1) * config_.kv_growth_reserve_steps);
+        (static_cast<int64_t>(batch_size_) + 1) * config_.kv_growth_reserve_steps);
     if (kv_used_tokens_ + needed + growth_reserve > admit_limit) {
       break;
     }
@@ -644,39 +646,35 @@ void RolloutReplica::TryAdmit() {
     if (on_progress_) {
       on_progress_(w, config_.id);
     }
-    running_.push_back(std::move(w));
+    JoinBatch(std::move(w));
   }
 }
 
 void RolloutReplica::Advance(int64_t steps) {
   advance_event_ = kInvalidEventId;
-  LAMINAR_CHECK(!running_.empty());
-  int64_t batch = static_cast<int64_t>(running_.size());
-  for (TrajectoryWork& w : running_) {
-    w.decoded_in_segment += steps;
-    w.context_tokens += steps;
-  }
+  LAMINAR_CHECK_GT(batch_size_, 0);
+  int64_t batch = batch_size_;
+  vstep_ += steps;
+  batch_ctx_tokens_ += batch * steps;
   kv_used_tokens_ += static_cast<double>(batch * steps);
   metrics_.decode_tokens += batch * steps;
   CreditDecodeProbe(steps, batch);
 
-  // Split out the sequences that hit their segment boundary: stable in-place
-  // compaction of the survivors (same relative order as the old two-vector
-  // split, without reallocating the batch every advance).
+  // Take out the members that hit their segment boundary. `steps` never
+  // exceeds the fewest remaining tokens and SyncProgress() stops short of
+  // every boundary, so all hits land on this very step and the heap's stamp
+  // tie-break hands them over in admission (running_) order.
   boundary_scratch_.clear();
-  size_t write = 0;
-  for (size_t read = 0; read < running_.size(); ++read) {
-    TrajectoryWork& w = running_[read];
-    if (w.remaining_in_segment() <= 0) {
-      boundary_scratch_.push_back(std::move(w));
-    } else {
-      if (write != read) {
-        running_[write] = std::move(w);
-      }
-      ++write;
+  while (!boundaries_.empty() && boundaries_.front().step <= vstep_) {
+    Boundary b = boundaries_.front();
+    std::pop_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary);
+    boundaries_.pop_back();
+    if (IsCurrent(b)) {
+      LAMINAR_CHECK_EQ(b.step, vstep_) << "advance overran a segment boundary";
+      boundary_scratch_.push_back(LeaveBatch(b.slot));
     }
   }
-  running_.resize(write);
+  TrimBatch();
   for (TrajectoryWork& w : boundary_scratch_) {
     FinishSegment(std::move(w));
   }
@@ -690,8 +688,7 @@ void RolloutReplica::FinishSegment(TrajectoryWork work) {
   const TrajectorySegment& seg = work.current_segment();
   if (seg.env_latency > 0.0) {
     // Trajectory leaves the decode batch for its sandbox call; the KV pages
-    // stay resident so no recompute is needed on rejoin. The rejoin event
-    // captures the slab handle, so no id search is needed when it fires.
+    // stay resident so no recompute is needed on rejoin.
     if (on_progress_) {
       on_progress_(work, config_.id);
     }
@@ -699,15 +696,16 @@ void RolloutReplica::FinishSegment(TrajectoryWork work) {
     entry.work = std::move(work);
     entry.at = sim_->Now() + seg.env_latency;
     entry.seq = ++env_seq_;
-    EntityHandle handle = env_waiting_.Insert(std::move(entry));
-    EnvEntry* stored = env_waiting_.Get(handle);
-    // The event payload names the entry by seq, not by slab handle: the seq
-    // is stable across snapshot adoption (handles are a memory-layout
-    // artifact), so the descriptor serializes and re-mints byte-exactly.
-    stored->event = sim_->ScheduleContinuationAtOn(
-        config_.shard, stored->at,
+    entry.live = true;
+    // The event payload names the entry by seq, which is stable across
+    // snapshot adoption, so the descriptor serializes and re-mints
+    // byte-exactly.
+    entry.event = sim_->ScheduleContinuationAtOn(
+        config_.shard, entry.at,
         ContinuationComponentId(kContFamilyReplica, config_.id), kContEnvRejoin,
-        ContinuationPayload::Of(static_cast<int64_t>(stored->seq)));
+        ContinuationPayload::Of(static_cast<int64_t>(entry.seq)));
+    env_waiting_.push_back(std::move(entry));
+    ++num_env_;
     return;
   }
   work.segment_index += 1;
@@ -715,14 +713,14 @@ void RolloutReplica::FinishSegment(TrajectoryWork work) {
   if (work.finished()) {
     CompleteTrajectory(std::move(work));
   } else {
-    running_.push_back(std::move(work));
+    JoinBatch(std::move(work));
   }
 }
 
-void RolloutReplica::RejoinFromEnv(EntityHandle handle) {
+void RolloutReplica::RejoinFromEnv(uint64_t seq) {
   SyncProgress();
-  LAMINAR_CHECK(env_waiting_.Contains(handle)) << "env rejoin with a stale handle";
-  TrajectoryWork work = std::move(env_waiting_.Remove(handle).work);
+  TrajectoryWork work = TakeEnv(FindEnvBySeq(seq));
+  TrimEnv();
   const TrajectorySegment& seg = work.current_segment();
   // Sandbox output becomes new context: it occupies KV and must be prefilled.
   work.context_tokens += seg.feedback_tokens;
@@ -737,7 +735,7 @@ void RolloutReplica::RejoinFromEnv(EntityHandle handle) {
   if (work.finished()) {
     CompleteTrajectory(std::move(work));
   } else if (work.kv_resident) {
-    running_.push_back(std::move(work));
+    JoinBatch(std::move(work));
   } else {
     waiting_.push_front(std::move(work));
   }
@@ -765,6 +763,73 @@ void RolloutReplica::CompleteTrajectory(TrajectoryWork work) {
   }
 }
 
+void RolloutReplica::JoinBatch(TrajectoryWork work) {
+  uint64_t stamp = ++batch_stamp_;
+  boundaries_.push_back(Boundary{vstep_ + work.remaining_in_segment(), stamp,
+                                 static_cast<uint32_t>(running_.size())});
+  std::push_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary);
+  batch_ctx_tokens_ += work.context_tokens;
+  ++batch_size_;
+  running_.emplace_back(std::move(work), vstep_, stamp, true);
+}
+
+TrajectoryWork RolloutReplica::LeaveBatch(size_t slot) {
+  BatchMember& m = running_[slot];
+  Materialize(m);
+  m.live = false;
+  --batch_size_;
+  batch_ctx_tokens_ -= m.work.context_tokens;
+  return std::move(m.work);
+}
+
+void RolloutReplica::Materialize(BatchMember& m) {
+  int64_t decoded = vstep_ - m.join_step;
+  m.work.decoded_in_segment += decoded;
+  m.work.context_tokens += decoded;
+  m.join_step = vstep_;
+}
+
+bool RolloutReplica::IsCurrent(const Boundary& b) const {
+  return b.slot < running_.size() && running_[b.slot].live &&
+         running_[b.slot].stamp == b.stamp;
+}
+
+int64_t RolloutReplica::MinRemaining() {
+  while (!boundaries_.empty() && !IsCurrent(boundaries_.front())) {
+    std::pop_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary);
+    boundaries_.pop_back();
+  }
+  LAMINAR_CHECK(!boundaries_.empty()) << "boundary heap lost a batch member";
+  return boundaries_.front().step - vstep_;
+}
+
+void RolloutReplica::TrimBatch() {
+  while (!running_.empty() && !running_.back().live) {
+    running_.pop_back();
+  }
+  // Every live member owns exactly one heap entry; the rest are stale.
+  size_t live = static_cast<size_t>(batch_size_);
+  size_t waste = (running_.size() - live) + (boundaries_.size() - live);
+  if (waste <= live / 2 + kTombstoneSlack) {
+    return;
+  }
+  std::erase_if(running_, [](const BatchMember& m) { return !m.live; });
+  boundaries_.clear();
+  for (size_t slot = 0; slot < running_.size(); ++slot) {
+    const BatchMember& m = running_[slot];
+    boundaries_.push_back(Boundary{m.join_step + m.work.remaining_in_segment(), m.stamp,
+                                   static_cast<uint32_t>(slot)});
+  }
+  std::make_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary);
+}
+
+void RolloutReplica::ClearBatch() {
+  running_.clear();
+  boundaries_.clear();
+  batch_size_ = 0;
+  batch_ctx_tokens_ = 0;
+}
+
 void RolloutReplica::CheckBatchDone() {
   if (phase_ == ReplicaPhase::kGenerating && !busy()) {
     phase_ = ReplicaPhase::kIdle;
@@ -786,50 +851,60 @@ void RolloutReplica::SnapshotState(SnapshotTx& tx) {
   tx.F64("kv_used_tokens", &kv_used_tokens_);
   tx.F64("pending_stall_seconds", &pending_stall_seconds_);
   tx.U64As("env_seq", &env_seq_);
-  // The three work queues in behavior-defining order: running and waiting in
-  // container order, env-waiting in admission (seq) order. Adoption rebuilds
-  // the env slab; pending rejoin events re-resolve their handles through
+  // The three work queues in behavior-defining order: running (admission
+  // order) and waiting in container order, env-waiting in seq order. Batch
+  // members are materialized as they are written, and adoption re-joins them
+  // at the current virtual step, so the blob never sees the step counter.
+  // Pending rejoin events re-resolve their entries through
   // RestoreContinuation.
   SnapshotPacked(
       tx, "queues",
       [this](ByteSink& s) {
-        s.U64(running_.size());
-        for (const TrajectoryWork& w : running_) {
-          PackWork(s, w);
+        s.U64(static_cast<uint64_t>(batch_size_));
+        for (BatchMember& m : running_) {
+          if (m.live) {
+            Materialize(m);
+            PackWork(s, m.work);
+          }
         }
         s.U64(waiting_.size());
         for (const TrajectoryWork& w : waiting_) {
           PackWork(s, w);
         }
-        s.U64(env_waiting_.size());
-        for (EntityHandle h : EnvHandlesInSeqOrder()) {
-          const EnvEntry* e = env_waiting_.Get(h);
-          PackWork(s, e->work);
-          s.Time(e->at);
-          s.U64(e->seq);
+        s.U64(static_cast<uint64_t>(num_env_));
+        for (const EnvEntry& e : env_waiting_) {
+          if (e.live) {
+            PackWork(s, e.work);
+            s.Time(e.at);
+            s.U64(e.seq);
+          }
         }
       },
       [this](ByteSource& s) {
-        running_.clear();
+        ClearBatch();
         uint64_t num_running = s.U64();
         running_.reserve(static_cast<size_t>(num_running));
         for (uint64_t i = 0; i < num_running; ++i) {
-          running_.push_back(UnpackWork(s));
+          JoinBatch(UnpackWork(s));
         }
         waiting_.clear();
         for (uint64_t i = 0, n = s.U64(); i < n; ++i) {
           waiting_.push_back(UnpackWork(s));
         }
-        env_waiting_.Clear();
+        env_waiting_.clear();
         uint64_t num_env = s.U64();
-        env_waiting_.Reserve(static_cast<size_t>(num_env));
+        env_waiting_.reserve(static_cast<size_t>(num_env));
         for (uint64_t i = 0; i < num_env; ++i) {
           EnvEntry e;
           e.work = UnpackWork(s);
           e.at = s.Time();
           e.seq = s.U64();
-          env_waiting_.Insert(std::move(e));
+          e.live = true;
+          LAMINAR_CHECK(env_waiting_.empty() || env_waiting_.back().seq < e.seq)
+              << "env entries out of seq order";
+          env_waiting_.push_back(std::move(e));
         }
+        num_env_ = static_cast<int>(num_env);
       });
   // In-flight advance metadata for partial-progress crediting; the event
   // itself is re-minted from the event_heap section.

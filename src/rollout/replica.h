@@ -8,6 +8,17 @@
 // clock straight to the next boundary (trajectory segment end, KVCache
 // exhaustion, or a step cap that bounds interpolation error).
 //
+// An advance costs O(boundaries · log batch), not O(batch) (DESIGN.md §11,
+// "Virtual step counter"). Every member of the decode batch decodes one
+// token per step, so the replica counts steps once, in a virtual step
+// counter, and each member records the step it joined at. A running integer
+// context sum feeds the step-latency model, and a min-heap of
+// segment-boundary steps yields both the next boundary and the members that
+// reach it. A member's decode counters are materialized only where they are
+// read: boundary hits, preemption victims, ExtractAllWork and snapshot
+// writes. Environment-waiting work is kept in seq (admission) order, so a
+// rejoin finds its entry by binary search.
+//
 // KVCache accounting follows the paper's Figure 9 lifecycle: admissions fill
 // the cache to ~C_max, waiting trajectories backfill freed space, and only
 // when the waiting queue drains does utilization ramp down — the signal the
@@ -20,7 +31,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/entity_table.h"
 #include "src/common/stats.h"
 #include "src/data/trajectory.h"
 #include "src/llm/decode_model.h"
@@ -184,10 +194,8 @@ class RolloutReplica : public ContinuationClient {
 
   // Introspection ---------------------------------------------------------------
   ReplicaPhase phase() const { return phase_; }
-  bool busy() const { return !running_.empty() || !waiting_.empty() || !env_waiting_.empty(); }
-  int num_reqs() const {
-    return static_cast<int>(running_.size() + waiting_.size() + env_waiting_.size());
-  }
+  bool busy() const { return batch_size_ > 0 || !waiting_.empty() || num_env_ > 0; }
+  int num_reqs() const { return batch_size_ + static_cast<int>(waiting_.size()) + num_env_; }
   // Resident serving requests (subset of num_reqs; 0 when the tier is off).
   int num_serving() const { return num_serving_; }
   double kv_used_tokens() const { return kv_used_tokens_; }
@@ -251,10 +259,72 @@ class RolloutReplica : public ContinuationClient {
   void TryAdmit();
   void PreemptForHeadroom();
   void FinishSegment(TrajectoryWork work);
-  void RejoinFromEnv(EntityHandle handle);
+  void RejoinFromEnv(uint64_t seq);
   void CompleteTrajectory(TrajectoryWork work);
   void CheckBatchDone();
   void TouchMetrics();
+
+  // One member of the decode batch. `work`'s decode counters
+  // (decoded_in_segment, context_tokens) are as of virtual step `join_step`;
+  // the member has decoded `vstep_ - join_step` more tokens since. `stamp`
+  // is the member's place in admission order. A member that left the batch
+  // stays behind as a tombstone (`live == false`) until TrimBatch() drops it.
+  struct BatchMember {
+    TrajectoryWork work;
+    int64_t join_step = 0;
+    uint64_t stamp = 0;
+    bool live = false;
+  };
+  // Boundary-heap entry: the virtual step at which the member in `slot`
+  // finishes its segment. Stale once that slot no longer holds a live member
+  // with this stamp (the member left early); stale entries are dropped when
+  // they surface, and all of them on compaction.
+  struct Boundary {
+    int64_t step = 0;
+    uint64_t stamp = 0;
+    uint32_t slot = 0;
+  };
+  // Heap order: the earliest boundary on top, ties in stamp order.
+  static bool LaterBoundary(const Boundary& a, const Boundary& b) {
+    return a.step != b.step ? a.step > b.step : a.stamp > b.stamp;
+  }
+
+  // Appends `work` to the batch with a fresh stamp.
+  void JoinBatch(TrajectoryWork work);
+  // Tombstones the live member in `slot` and returns its materialized work.
+  // Slots stay valid until the next TrimBatch().
+  TrajectoryWork LeaveBatch(size_t slot);
+  // Brings a member's decode counters up to the current virtual step.
+  void Materialize(BatchMember& m);
+  bool IsCurrent(const Boundary& b) const;
+  // Fewest decode tokens any member has left in its segment (drops stale
+  // heap tops on the way). The batch must be non-empty.
+  int64_t MinRemaining();
+  // Drops trailing tombstones, so the batch's last slot is live, and
+  // compacts the batch (rebuilding the heap) once tombstones and stale heap
+  // entries outnumber half the batch. Every removal path ends with it.
+  void TrimBatch();
+  void ClearBatch();
+
+  // One trajectory blocked on a sandbox/env call. The pending rejoin event
+  // names its entry by `seq`, the stable admission-order key that survives
+  // snapshot adoption. `seq` also orders the rare drain paths
+  // (ExtractAllWork, Kill) and the snapshot.
+  struct EnvEntry {
+    TrajectoryWork work;
+    EventId event = kInvalidEventId;
+    SimTime at;
+    uint64_t seq = 0;
+    bool live = false;
+  };
+
+  // Index of the live env entry with `seq` (CHECKs on miss).
+  size_t FindEnvBySeq(uint64_t seq) const;
+  // Tombstones the env entry at `index` and returns its work. Indices stay
+  // valid until the next TrimEnv().
+  TrajectoryWork TakeEnv(size_t index);
+  // Compacts env_waiting_ once tombstones outnumber half its live entries.
+  void TrimEnv();
 
   Simulator* sim_;
   ReplicaConfig config_;
@@ -271,35 +341,32 @@ class RolloutReplica : public ContinuationClient {
   // the model latency divided by this.
   double speed_factor_ = 1.0;
 
-  // One trajectory blocked on a sandbox/env call. Entries live in a
-  // generation-tagged slab; the pending rejoin event names its entry by
-  // `seq` — the stable admission-order key that survives snapshot adoption
-  // (slab handles are a memory-layout artifact and do not). `seq` also
-  // orders the rare drain paths (ExtractAllWork, Kill) whose processing
-  // order must match the old insertion-ordered list.
-  struct EnvEntry {
-    TrajectoryWork work;
-    EventId event = kInvalidEventId;
-    SimTime at;
-    uint64_t seq = 0;
-  };
-
-  // Live env entries sorted by seq — the old insertion order.
-  std::vector<EntityHandle> EnvHandlesInSeqOrder() const;
-  // Resolves a rejoin payload's seq to the live slab handle (CHECKs on miss).
-  EntityHandle FindEnvBySeq(uint64_t seq) const;
-
-  std::vector<TrajectoryWork> running_;
+  // The decode batch in admission order, tombstones interleaved: every
+  // mutation is a push_back or a tombstoning, so stamps ascend along it.
+  std::vector<BatchMember> running_;
+  // Min-heap (LaterBoundary) of segment boundaries, one current entry per
+  // live member.
+  std::vector<Boundary> boundaries_;
+  // Live members and the exact integer sum of their context tokens.
+  int batch_size_ = 0;
+  int64_t batch_ctx_tokens_ = 0;
+  // Decode steps the batch has taken; each live member took every one since
+  // its join_step.
+  int64_t vstep_ = 0;
+  uint64_t batch_stamp_ = 0;
   std::deque<TrajectoryWork> waiting_;
-  EntityTable<EnvEntry> env_waiting_;
+  // Env-waiting work in ascending seq order (seqs are issued increasing and
+  // entries only appended), tombstones interleaved.
+  std::vector<EnvEntry> env_waiting_;
+  int num_env_ = 0;
   uint64_t env_seq_ = 0;
   // Serving requests currently resident (running_ + waiting_) and the
   // lifetime assignment count (gates the snapshot fields so serving-off blobs
   // keep their historical layout).
   int num_serving_ = 0;
   int64_t serving_assigned_total_ = 0;
-  // Reused by Advance() for the segment-boundary partition (no steady-state
-  // allocation in the hot loop).
+  // Reused by Advance() for the members that hit a boundary (no
+  // steady-state allocation in the hot loop).
   std::vector<TrajectoryWork> boundary_scratch_;
 
   double kv_used_tokens_ = 0.0;

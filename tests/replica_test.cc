@@ -23,6 +23,25 @@ std::vector<TrajectoryWork> MakeWorks(PromptPool& pool, int n) {
   return works;
 }
 
+// One decode segment of `decode_tokens` after a `prompt_tokens` prompt, no
+// env call. Ids at or above kServingIdBase make it a serving request.
+TrajectoryWork SingleSegmentWork(TrajId id, int64_t prompt_tokens, int64_t decode_tokens) {
+  TrajectoryWork w;
+  w.record.id = id;
+  w.record.spec.prompt_tokens = prompt_tokens;
+  w.record.spec.AppendSegment({decode_tokens, 0.0, 0});
+  w.InitContext();
+  return w;
+}
+
+std::vector<TrajId> Ids(const std::vector<TrajectoryWork>& works) {
+  std::vector<TrajId> ids;
+  for (const TrajectoryWork& w : works) {
+    ids.push_back(w.record.id);
+  }
+  return ids;
+}
+
 class ReplicaTest : public ::testing::Test {
  protected:
   ReplicaTest()
@@ -195,6 +214,111 @@ TEST_F(ReplicaTest, DecodeBatchRampsDownAtTail) {
   double avg_batch = replica.metrics().batch_size.AverageUntil(sim_.Now());
   EXPECT_GT(avg_batch, 1.0);
   EXPECT_LT(avg_batch, 256.0);
+}
+
+// Members that reach their segment boundary on the same step finish in
+// admission order. A preempted member that is re-admitted joins the back of
+// that order: here the newest rollout sequence is evicted past a serving
+// request admitted after it, so once re-admitted it finishes after the
+// request.
+TEST_F(ReplicaTest, EqualBoundariesCompleteInAdmissionOrder) {
+  RolloutReplica replica = MakeReplica();
+  std::vector<TrajId> done;
+  replica.set_on_complete([&](TrajectoryRecord rec) { done.push_back(rec.id); });
+  std::vector<TrajectoryWork> works;
+  for (TrajId id = 0; id < 8; ++id) {
+    works.push_back(SingleSegmentWork(id, 512, 200));
+  }
+  replica.AssignWork(std::move(works));
+  replica.AssignServingWork({SingleSegmentWork(kServingIdBase, 512, 200)});
+  // Ask for one token more than is free: exactly one eviction.
+  double needed = replica.kv_capacity_tokens() - replica.kv_used_tokens() + 1.0;
+  std::vector<TrajectoryWork> evicted = replica.PreemptRolloutForServing(needed);
+  ASSERT_EQ(Ids(evicted), std::vector<TrajId>({7}));
+  replica.AssignWork(std::move(evicted));
+  sim_.RunUntilIdle();
+  EXPECT_EQ(done, std::vector<TrajId>({0, 1, 2, 3, 4, 5, 6, kServingIdBase, 7}));
+}
+
+// Headroom preemption and serving preemption both evict the most recently
+// admitted rollout sequence and pass over serving requests.
+TEST_F(ReplicaTest, PreemptionEvictsNewestRolloutSequenceAndSkipsServing) {
+  ReplicaConfig rc;
+  rc.admit_headroom_frac = 0.0;
+  rc.kv_growth_reserve_steps = 0;
+  rc.kv_preempt_headroom_steps = 16;
+  RolloutReplica replica(&sim_, rc, decode_, /*kv_capacity_tokens=*/1000.0);
+  replica.set_on_complete([](TrajectoryRecord) {});
+  std::vector<TrajectoryWork> works;
+  for (TrajId id = 0; id < 6; ++id) {
+    works.push_back(SingleSegmentWork(id, 100, 1000));
+  }
+  replica.AssignWork(std::move(works));
+  EXPECT_EQ(replica.metrics().preemptions, 0);
+  // The request fits, but leaves 100 free tokens for a 7-member batch that
+  // needs 16 steps each: headroom preemption takes rollout 5, not the
+  // request admitted after it, and queues it at the front.
+  replica.AssignServingWork({SingleSegmentWork(kServingIdBase, 300, 1000)});
+  EXPECT_EQ(replica.metrics().preemptions, 1);
+  // 200 tokens free; freeing 350 takes rollouts 4 then 3, again passing the
+  // request.
+  std::vector<TrajectoryWork> evicted = replica.PreemptRolloutForServing(350.0);
+  EXPECT_EQ(Ids(evicted), std::vector<TrajId>({4, 3}));
+  EXPECT_EQ(replica.metrics().preemptions, 3);
+  // Left: rollouts 0-2 decoding in admission order, rollout 5 queued without
+  // its cache, and the request, which never leaves.
+  std::vector<TrajectoryWork> rest = replica.ExtractAllWork();
+  EXPECT_EQ(Ids(rest), std::vector<TrajId>({0, 1, 2, 5}));
+  EXPECT_FALSE(rest.back().kv_resident);
+  EXPECT_EQ(replica.num_serving(), 1);
+  EXPECT_EQ(replica.kv_used_tokens(), 300.0);
+}
+
+// The KV ledger and the resident-token recount are both sums of integer
+// token counts, so they agree exactly after every event of a full-batch
+// tool-calling run with every batch mutation interleaved: serving admission
+// and preemption, repack-style extraction, partial-rollout pauses with KV
+// recompute, and gray slowdowns.
+TEST_F(ReplicaTest, ResidentKvTokensMatchLedgerUnderInterleavedMutations) {
+  WorkloadConfig wc;
+  wc.task = TaskKind::kToolCalling;
+  PromptPool tool_pool(WorkloadGenerator(wc, Rng(11)), 16, Rng(13));
+  RolloutReplica replica = MakeReplica(1024);
+  int completed = 0;
+  replica.set_on_complete([&](TrajectoryRecord) { ++completed; });
+  replica.AssignWork(MakeWorks(tool_pool, 1024));
+  TrajId next_serving = kServingIdBase;
+  int version = 0;
+  int64_t events = 0;
+  while (sim_.Step()) {
+    ++events;
+    ASSERT_EQ(replica.ResidentKvTokens(), replica.kv_used_tokens()) << "event " << events;
+    switch (events % 250) {
+      case 50: {
+        replica.AssignServingWork({SingleSegmentWork(next_serving++, 256, 64)});
+        double needed = replica.kv_capacity_tokens() - replica.kv_used_tokens() + 4096.0;
+        replica.AssignWork(replica.PreemptRolloutForServing(needed));
+        break;
+      }
+      case 100:
+        replica.AssignWork(replica.ExtractAllWork(), /*kv_transferred=*/true);
+        break;
+      case 150:
+        replica.Pause();
+        replica.Resume(++version, /*recompute_kv=*/true);
+        break;
+      case 200:
+        replica.SetSpeedFactor(0.5);
+        break;
+      case 0:
+        replica.SetSpeedFactor(1.0);
+        break;
+    }
+    ASSERT_EQ(replica.ResidentKvTokens(), replica.kv_used_tokens()) << "event " << events;
+  }
+  EXPECT_GT(events, 1000);
+  EXPECT_EQ(completed, 1024 + static_cast<int>(next_serving - kServingIdBase));
+  EXPECT_EQ(replica.kv_used_tokens(), 0.0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,18 +42,20 @@ RlSystemConfig RestoreConfig() {
   return cfg;
 }
 
-// One cell of the restore-equivalence matrix: snapshot `base` mid-run, then
-// recover both ways — replay-anchored (shard-flipped re-execution verifying
-// every field against the blob) and direct boot (adopt + re-mint, at shard
-// counts 1 and 4) — and require byte-identical fingerprints and blobs
-// everywhere.
-void CheckRestoreEquivalence(const RlSystemConfig& base) {
+// One cell of the restore-equivalence matrix: snapshot `base` at
+// `barrier_seconds` (mid-run by default), then recover both ways —
+// replay-anchored (shard-flipped re-execution verifying every field against
+// the blob) and direct boot (adopt + re-mint, at shard counts 1 and 4) — and
+// require byte-identical fingerprints and blobs everywhere.
+void CheckRestoreEquivalence(const RlSystemConfig& base,
+                             std::optional<double> barrier_seconds = std::nullopt) {
   SystemReport full = RunExperiment(base);
   ASSERT_GT(full.simulated_seconds, 0.0);
   std::string want = RunFingerprint(full);
 
   RlSystemConfig snapped = base;
-  snapped.snapshot_at_seconds = 0.5 * full.simulated_seconds;
+  snapped.snapshot_at_seconds = barrier_seconds.value_or(0.5 * full.simulated_seconds);
+  ASSERT_LT(snapped.snapshot_at_seconds, full.simulated_seconds);
   SystemReport a = RunExperiment(snapped);
   ASSERT_NE(a.snapshot, nullptr);
   ASSERT_FALSE(a.snapshot->empty());
@@ -133,6 +136,39 @@ TEST(DirectBootTest, ServingPlusChaosResumesByteIdentical) {
   cfg.chaos_enabled = true;
   cfg.chaos_seed = 7;
   CheckRestoreEquivalence(cfg);
+}
+
+// Regression: ReviveRelay clears a relay's pending arrivals without
+// cancelling their events, so the heap can hold an arrival that no pending
+// entry names while a later arrival of the same version owns the entry.
+// Re-minting the orphan on boot must not overwrite that entry's arrival time
+// (the boot re-snapshot drifted in relay_tier/relays). bench_full_system's
+// chaos mix at a 120 s barrier, with the seeds that hit it.
+TEST(DirectBootTest, OrphanedRelayArrivalResumesByteIdentical) {
+  RlSystemConfig cfg;
+  cfg.system = SystemKind::kLaminar;
+  cfg.total_gpus = 16;
+  cfg.global_batch = 512;
+  cfg.group_size = 8;
+  cfg.num_minibatches = 4;
+  cfg.max_concurrency = 128;
+  cfg.warmup_iterations = 1;
+  cfg.measure_iterations = 3;
+  cfg.chaos_enabled = true;
+  cfg.chaos.start_seconds = 30.0;
+  cfg.chaos.horizon_seconds = 3600.0;
+  cfg.chaos.machine_fail_per_hour = 4.0;
+  cfg.chaos.relay_fail_per_hour = 8.0;
+  cfg.chaos.master_fail_per_hour = 4.0;
+  cfg.chaos.trainer_fail_per_hour = 4.0;
+  cfg.chaos.machine_stall_per_hour = 60.0;
+  cfg.chaos.link_flap_per_hour = 60.0;
+  cfg.chaos.replica_slow_per_hour = 20.0;
+  cfg.chaos.message_drop_per_hour = 120.0;
+  cfg.invariants_enabled = true;
+  cfg.seed = 2071678083;
+  cfg.chaos_seed = 2115654868;
+  CheckRestoreEquivalence(cfg, 120.0);
 }
 
 // Regression: snapshot taken INSIDE a machine-stall window. The blob then

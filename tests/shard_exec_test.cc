@@ -4,6 +4,7 @@
 // ScheduleAfter clock-centralization regression.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -23,14 +24,16 @@ ShardOptions Opts(int shards, double lookahead, int workers = 0) {
 TEST(ShardExecTest, WindowsFormWhenLookaheadAdmitsParallelLanes) {
   Simulator sim;
   sim.ConfigureShards(Opts(2, /*lookahead=*/100.0));
-  int executed = 0;
+  // Both lanes run in one window, on different workers when there are two,
+  // so the shared counter must be atomic.
+  std::atomic<int> executed = 0;
   for (int shard = 1; shard <= 2; ++shard) {
     for (int i = 0; i < 8; ++i) {
       sim.ScheduleAtOn(shard, SimTime(1.0 + i), [&executed] { ++executed; });
     }
   }
   sim.RunUntilIdle();
-  EXPECT_EQ(executed, 16);
+  EXPECT_EQ(executed.load(), 16);
   EXPECT_EQ(sim.executed_events(), 16u);
   EXPECT_GT(sim.shard_windows(), 0u);
   EXPECT_GT(sim.shard_window_events(), 0u);
