@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -610,6 +611,9 @@ void DriverBase::AdoptSnapshot(const std::string& blob) {
   SnapshotReader reader;
   std::string error;
   LAMINAR_CHECK(reader.Parse(blob, &error)) << "restore_from blob: " << error;
+  LAMINAR_CHECK_EQ(reader.version(), kSnapshotVersion)
+      << "restore_from blob is LMSNAP1 v" << reader.version()
+      << "; direct boot adopts only the current layout";
   SnapshotTx tx(&reader, SnapshotMode::kAdopt);
   SnapshotComponents(tx);
   LAMINAR_CHECK(tx.mismatches().empty())
@@ -631,6 +635,10 @@ std::vector<std::string> DriverBase::VerifySnapshot(const std::string& blob) {
   std::string error;
   if (!reader.Parse(blob, &error)) {
     return {"snapshot parse failed: " + error};
+  }
+  if (reader.version() != kSnapshotVersion) {
+    return {"snapshot is LMSNAP1 v" + std::to_string(reader.version()) + ", not the v" +
+            std::to_string(kSnapshotVersion) + " layout this build verifies"};
   }
   SnapshotTx tx(&reader, SnapshotMode::kVerify);
   SnapshotComponents(tx);

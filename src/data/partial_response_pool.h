@@ -12,18 +12,20 @@
 // its migrated clone) can never resurrect the entry, and a duplicate
 // completion is suppressed rather than double-counted.
 //
-// Layout (DESIGN.md §11): the heavy TrajectoryWork payloads live in a
-// generation-tagged slab (EntityTable) and the terminal tombstones in a
-// dense bitmap indexed by TrajId — trajectory ids are issued sequentially
-// from 0, so the bitmap is equivalent to the old hash set at a fraction of
-// the cost. The id index is a RecoveryOrderIndex from TrajId to slab handle
-// that performs exactly the insert/erase sequence the old TrajId->Entry map
-// did. TakeByReplica's recovery order — which feeds the manager's
-// round-robin redirect sharding and therefore the simulation's event
-// sequence — is that index's iteration order, a pure function of the
-// operation sequence with explicit, serialized layout rules; a direct-boot
-// restore reconstructs the exact layout and keeps recovering work in the
-// same order the uninterrupted run would have.
+// Layout (DESIGN.md §11): trajectory ids are issued sequentially from 0
+// (PromptPool), so every per-id structure is a dense array indexed by TrajId.
+// The heavy TrajectoryWork payloads live in a generation-tagged slab
+// (EntityTable); a handle array maps each id to its live slab entry (the
+// zero handle means "none"), and a byte array holds the terminal tombstones.
+// Update, MarkCompleted, MarkDropped and Contains are one array index each.
+// Serving requests (kServingIdBase and up) never enter the pool: the mutators
+// CHECK the id range before sizing anything.
+//
+// Recovery order is canonical: TakeByReplica and the snapshot walk live
+// entries in ascending TrajId. The order feeds the manager's round-robin
+// redirect sharding, and it depends only on which entries are live, so a
+// direct-boot restore recovers work in the same order as the run that wrote
+// the blob.
 #ifndef LAMINAR_SRC_DATA_PARTIAL_RESPONSE_POOL_H_
 #define LAMINAR_SRC_DATA_PARTIAL_RESPONSE_POOL_H_
 
@@ -31,7 +33,6 @@
 #include <vector>
 
 #include "src/common/entity_table.h"
-#include "src/data/recovery_order_index.h"
 #include "src/data/trajectory.h"
 
 namespace laminar {
@@ -55,22 +56,21 @@ class PartialResponsePool {
   // the first time; false if the trajectory was already terminal.
   bool MarkDropped(TrajId id);
 
-  // Legacy completion API: MarkCompleted + "was a live entry erased".
-  bool Remove(TrajId id);
-
   // All in-progress work owned by `replica`, e.g. everything lost when its
-  // machine dies. The returned items have kv_resident=false (the cache died
-  // with the machine). Order follows the pool's internal layout, which is a
-  // pure function of the operation sequence — identical runs recover work in
-  // identical order.
+  // machine dies, in ascending TrajId. The returned items have
+  // kv_resident=false (the cache died with the machine).
   std::vector<TrajectoryWork> TakeByReplica(int replica);
 
-  bool Contains(TrajId id) const { return index_.count(id) > 0; }
+  // False for any id outside [0, kServingIdBase).
+  bool Contains(TrajId id) const {
+    return IsRolloutId(id) && static_cast<size_t>(id) < handles_.size() &&
+           handles_[static_cast<size_t>(id)].valid();
+  }
   bool IsTerminal(TrajId id) const {
-    return id >= 0 && static_cast<size_t>(id) < terminal_.size() &&
+    return IsRolloutId(id) && static_cast<size_t>(id) < terminal_.size() &&
            terminal_[static_cast<size_t>(id)] != 0;
   }
-  size_t size() const { return index_.size(); }
+  size_t size() const { return table_.size(); }
   int64_t updates() const { return updates_; }
   int64_t completed() const { return completed_; }
   int64_t dropped() const { return dropped_; }
@@ -80,10 +80,8 @@ class PartialResponsePool {
   int64_t total_context_tokens() const;
 
   // Snapshot (src/snapshot, DESIGN.md §13): counters, the terminal bitmap,
-  // and every live entry — id, owner and full work payload — serialized in
-  // index iteration order alongside the index's bucket count, so a direct
-  // boot reconstructs the exact recovery order. The legacy order-witness
-  // digest rides along unchanged for cheap verify-mode drift detection.
+  // and every live entry — id, owner and full work payload — in ascending
+  // TrajId, the recovery order.
   void Snapshot(SnapshotTx& tx);
 
  private:
@@ -92,15 +90,14 @@ class PartialResponsePool {
     int owner_replica = -1;
   };
 
+  // Frees `id`'s live entry, if any.
+  void Release(TrajId id);
   // Returns false if `id` was already terminal (the first call wins).
   bool SetTerminal(TrajId id);
 
   EntityTable<Entry> table_;
-  // Id -> slab handle. Doubles as the recovery-order witness: see the file
-  // comment. Do not add or reorder structural operations (insert/erase) on
-  // it without mirroring what the pre-slab TrajId->Entry map performed.
-  RecoveryOrderIndex index_;
-  std::vector<uint8_t> terminal_;  // tombstone bitmap, indexed by TrajId
+  std::vector<EntityHandle> handles_;  // live slab entry, indexed by TrajId
+  std::vector<uint8_t> terminal_;      // tombstone bitmap, indexed by TrajId
   int64_t updates_ = 0;
   int64_t completed_ = 0;
   int64_t dropped_ = 0;

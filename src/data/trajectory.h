@@ -26,6 +26,8 @@ constexpr TrajId kInvalidTrajId = -1;
 // apart with one comparison.
 constexpr TrajId kServingIdBase = TrajId{1} << 40;
 inline constexpr bool IsServingId(TrajId id) { return id >= kServingIdBase; }
+// Ids PromptPool issues: dense from 0, so they can index per-id arrays.
+inline constexpr bool IsRolloutId(TrajId id) { return id >= 0 && id < kServingIdBase; }
 
 struct TrajectoryRecord {
   TrajId id = kInvalidTrajId;

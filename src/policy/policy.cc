@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <map>
-#include <set>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/snapshot/snapshot.h"
@@ -135,17 +134,25 @@ double Policy::CurrentSuccessProb(double difficulty) const {
   return entry.p;
 }
 
-void Policy::ScoreTrajectory(TrajectoryRecord& record, Rng& rng) const {
-  LAMINAR_CHECK(!record.weight_versions.empty());
-  // True sampler: the mixture of every policy version the trajectory used
-  // (equal weights; the simulator does not track per-version token counts).
-  std::set<int> distinct(record.weight_versions.begin(), record.weight_versions.end());
+double Policy::TrueSuccessProb(const TrajectoryRecord& record) const {
+  const std::vector<int>& versions = record.weight_versions;
+  LAMINAR_CHECK(!versions.empty());
+  if (versions.size() == 1) {
+    return SuccessProb(versions[0], record.difficulty);  // no allocation
+  }
+  // Equal weights: the simulator does not track per-version token counts.
+  std::vector<int> distinct = versions;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
   double p_true = 0.0;
   for (int v : distinct) {
     p_true += SuccessProb(v, record.difficulty);
   }
-  p_true /= static_cast<double>(distinct.size());
-  record.success = rng.Bernoulli(p_true);
+  return p_true / static_cast<double>(distinct.size());
+}
+
+void Policy::ScoreTrajectory(TrajectoryRecord& record, Rng& rng) const {
+  record.success = rng.Bernoulli(TrueSuccessProb(record));
   record.reward = record.success ? 1.0 : 0.0;
   // What the training stack assumes: the trajectory was produced by the
   // single policy version it is attributed to (its generation version, which
@@ -161,30 +168,38 @@ UpdateStats Policy::UpdateMinibatch(const std::vector<TrajectoryRecord>& minibat
   if (minibatch.empty()) {
     return stats;
   }
-  // GRPO advantages: normalize rewards within each prompt group.
-  std::map<int64_t, std::vector<const TrajectoryRecord*>> groups;
-  for (const TrajectoryRecord& rec : minibatch) {
-    groups[rec.prompt_id].push_back(&rec);
+  // GRPO advantages: normalize rewards within each prompt group. Sorting
+  // (prompt_id, position) pairs makes each group a contiguous run in
+  // minibatch order, so every group sum adds the same terms in the same order.
+  std::vector<std::pair<int64_t, size_t>> order(minibatch.size());
+  for (size_t i = 0; i < minibatch.size(); ++i) {
+    order[i] = {minibatch[i].prompt_id, i};
   }
-  std::map<int64_t, std::pair<double, double>> group_stats;  // mean, std
-  for (const auto& [pid, members] : groups) {
+  std::sort(order.begin(), order.end());
+  std::vector<std::pair<double, double>> group_stats(minibatch.size());  // mean, std
+  for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
     double mean = 0.0;
-    for (const auto* rec : members) {
-      mean += rec->reward;
+    for (; end < order.size() && order[end].first == order[begin].first; ++end) {
+      mean += minibatch[order[end].second].reward;
     }
-    mean /= static_cast<double>(members.size());
+    double members = static_cast<double>(end - begin);
+    mean /= members;
     double var = 0.0;
-    for (const auto* rec : members) {
-      var += (rec->reward - mean) * (rec->reward - mean);
+    for (size_t i = begin; i < end; ++i) {
+      double r = minibatch[order[i].second].reward;
+      var += (r - mean) * (r - mean);
     }
-    var /= static_cast<double>(members.size());
-    group_stats[pid] = {mean, std::sqrt(var)};
+    var /= members;
+    for (size_t i = begin; i < end; ++i) {
+      group_stats[order[i].second] = {mean, std::sqrt(var)};
+    }
   }
 
   std::vector<double> grad(config_.num_features, 0.0);
-  for (const TrajectoryRecord& rec : minibatch) {
+  for (size_t i = 0; i < minibatch.size(); ++i) {
+    const TrajectoryRecord& rec = minibatch[i];
     stats.mean_reward += rec.reward;
-    auto [mean, stddev] = group_stats[rec.prompt_id];
+    auto [mean, stddev] = group_stats[i];
     if (stddev < 1e-9) {
       continue;  // all-success or all-failure group carries no GRPO signal
     }

@@ -79,6 +79,9 @@ class Policy {
   // Success probability of the policy snapshot `version` on difficulty `d`.
   double SuccessProb(int version, double difficulty) const;
   double CurrentSuccessProb(double difficulty) const;
+  // Success probability of a trajectory's true sampler: the equal-weight
+  // mixture of every distinct policy version it was generated with.
+  double TrueSuccessProb(const TrajectoryRecord& record) const;
   // Samples the outcome of a finished trajectory: draws success under the
   // true (possibly mixed-version) sampler, sets reward/success and the
   // behaviour probability the serving stack would have recorded (the final
@@ -97,6 +100,10 @@ class Policy {
   double EvalExpectedReward() const;
   double EvalExpectedRewardAt(int version) const;
 
+  // Unit-norm radial-basis features of a difficulty: the model's input, and
+  // the direction of each record's policy-gradient term.
+  std::vector<double> Features(double difficulty) const;
+
   const PolicyConfig& config() const { return config_; }
   const std::vector<double>& parameters() const { return theta_; }
 
@@ -106,7 +113,6 @@ class Policy {
   void Snapshot(SnapshotTx& tx);
 
  private:
-  std::vector<double> Features(double difficulty) const;
   const std::vector<double>& FeaturesCached(double difficulty) const;
   double Logit(const std::vector<double>& theta, double difficulty) const;
 

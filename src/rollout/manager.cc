@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/logging.h"
-#include "src/data/trajectory_digest.h"
 #include "src/snapshot/snapshot.h"
 #include "src/snapshot/snapshot_codec.h"
 #include "src/trace/trace.h"
@@ -606,12 +605,11 @@ void RolloutManager::OnMachineFailure(int machine) {
     // In-progress state survives in the partial-response pool; everything the
     // dead replica owned is redirected (re-prefill on arrival).
     std::vector<TrajectoryWork> recovered = partial_pool_->TakeByReplica(id);
-    std::vector<TrajId> recovered_ids;
+    std::vector<TrajId> recovered_ids;  // ascending, the pool's recovery order
     recovered_ids.reserve(recovered.size());
     for (const TrajectoryWork& w : recovered) {
       recovered_ids.push_back(w.record.id);
     }
-    std::sort(recovered_ids.begin(), recovered_ids.end());
     // Queued work that never streamed a checkpoint anywhere died with the
     // machine; mark it terminal-dropped so the prompt ledger stays exact.
     for (const TrajectoryWork& w : never_admitted[i]) {

@@ -192,7 +192,7 @@ bool SnapshotReader::Parse(const std::string& data, std::string* error) {
     return fail("bad snapshot magic");
   }
   // The version must be read before the checksum can be verified: the
-  // checksum algorithm is version-keyed (v1 plain FNV-1a, v2 8-lane).
+  // checksum algorithm is version-keyed (v1 plain FNV-1a, v2+ 8-lane).
   Cursor cur{reinterpret_cast<const unsigned char*>(data.data()), data.size() - 8};
   cur.at = sizeof(kSnapshotMagic);
   uint32_t version = cur.U32();

@@ -15,7 +15,7 @@
 // payload; doubles are bit-cast so the round trip is exact), or kBytes
 // (u64 length + raw bytes).  The trailing checksum covers every byte before
 // it, so truncation and corruption are both detected at parse time. Its
-// algorithm is version-keyed: v1 blobs carry plain FNV-1a; v2 blobs carry
+// algorithm is version-keyed: v1 blobs carry plain FNV-1a; v2+ blobs carry
 // an 8-lane FNV-1a (byte j feeds lane j%8, lanes folded in order) whose
 // independent multiply chains pipeline ~4x faster — direct-boot restore
 // checksums the whole blob on the critical path, so this is wall-clock that
@@ -54,9 +54,15 @@ inline constexpr char kSnapshotMagic[8] = {'L', 'M', 'S', 'N', 'A', 'P', '1', '\
 // v2: full-state blobs — the simulator serializes its live event heap as
 // reconstructible continuation descriptors (event_heap section) and every
 // component serializes adoptable state, so a restore boots directly from
-// the blob. v1 blobs still parse (SnapshotReader accepts both versions);
-// they simply cannot drive a direct boot.
-inline constexpr uint32_t kSnapshotVersion = 2;
+// the blob.
+// v3: the partial_pool section lists live entries in ascending TrajId, the
+// canonical recovery order, and drops v2's hash-table bucket count and
+// order-witness digest.
+// Every version still parses (SnapshotReader accepts [v1, v3]), but only
+// the current layout can drive a direct boot or a verify: the driver
+// refuses an older blob by its version instead of walking a layout it was
+// not written in.
+inline constexpr uint32_t kSnapshotVersion = 3;
 inline constexpr uint32_t kSnapshotMinVersion = 1;
 
 // Record kinds in the LMSNAP1 stream.

@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <random>
-#include <unordered_map>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/data/experience_buffer.h"
 #include "src/data/partial_response_pool.h"
 #include "src/data/prompt_pool.h"
-#include "src/data/recovery_order_index.h"
 #include "src/data/trajectory.h"
+#include "src/snapshot/snapshot.h"
 
 namespace laminar {
 namespace {
@@ -196,8 +199,10 @@ TEST(PartialResponsePoolTest, UpdateRemoveAndTakeByReplica) {
   EXPECT_FALSE(lost[0].kv_resident);
   EXPECT_EQ(pool.size(), 1u);
 
-  EXPECT_TRUE(pool.Remove(2));
-  EXPECT_FALSE(pool.Remove(2));
+  EXPECT_TRUE(pool.Contains(2));
+  EXPECT_TRUE(pool.MarkCompleted(2));
+  EXPECT_FALSE(pool.Contains(2));
+  EXPECT_FALSE(pool.MarkCompleted(2));
   EXPECT_EQ(pool.size(), 0u);
 }
 
@@ -219,7 +224,8 @@ TEST(PartialResponsePoolTest, RemoveOfMissingIdStillTombstones) {
   PartialResponsePool pool;
   // A trajectory that finished without ever checkpointing has no live entry,
   // but its completion must still enter the terminal ledger.
-  EXPECT_FALSE(pool.Remove(7));
+  EXPECT_FALSE(pool.Contains(7));
+  EXPECT_TRUE(pool.MarkCompleted(7));
   EXPECT_TRUE(pool.IsTerminal(7));
   EXPECT_EQ(pool.completed(), 1);
   // ...so a late Update from a stale owner cannot resurrect it.
@@ -364,141 +370,112 @@ TEST(PartialResponsePoolTest, ContextTokenTotalsTrackTakesAndCompletions) {
   EXPECT_EQ(pool.size(), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// RecoveryOrderIndex: the pool's explicit order witness must reproduce the
-// iteration order of the std::unordered_map it retired, operation for
-// operation — committed corpus fingerprints depend on that order through
-// TakeByReplica's recovery sequence.
-
-void ExpectSameOrder(const RecoveryOrderIndex& idx,
-                     const std::unordered_map<TrajId, EntityHandle>& ref) {
-  ASSERT_EQ(idx.size(), ref.size());
-  ASSERT_EQ(idx.bucket_count(), ref.bucket_count());
-  auto it = idx.begin();
-  for (const auto& [id, handle] : ref) {
-    ASSERT_NE(it, idx.end());
-    EXPECT_EQ(it->first, id);
-    EXPECT_EQ(it->second, handle);
-    ++it;
-  }
-  EXPECT_EQ(it, idx.end());
+TEST(PartialResponsePoolTest, ServingAndNegativeIdsNeverIndexTheDenseArrays) {
+  PartialResponsePool pool;
+  EXPECT_FALSE(pool.Contains(kServingIdBase));
+  EXPECT_FALSE(pool.IsTerminal(kServingIdBase));
+  EXPECT_FALSE(pool.Contains(-1));
+  EXPECT_FALSE(pool.IsTerminal(-1));
+  TrajectoryWork serving;
+  serving.record = Rec(kServingIdBase, 0);
+  serving.InitContext();
+  // Each mutator refuses the id before sizing its per-id arrays: a serving
+  // id would otherwise resize them to 2^40 entries.
+  EXPECT_DEATH(pool.Update(serving, /*owner=*/0), "outside the rollout id range");
+  EXPECT_DEATH(pool.MarkCompleted(kServingIdBase), "outside the rollout id range");
+  EXPECT_DEATH(pool.MarkDropped(-1), "outside the rollout id range");
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.updates(), 0);
 }
 
-TEST(RecoveryOrderIndexTest, MatchesUnorderedMapOperationForOperation) {
+// Recovery order is ascending TrajId, and a direct boot recovers the same
+// sequence. A seeded history of every mutator runs against an ordered
+// reference model; halfway through, the pool's snapshot section is adopted
+// into a fresh pool, and both pools must then recover identical work.
+TEST(PartialResponsePoolTest, RecoveryOrderIsAscendingAndSurvivesAdoption) {
   std::mt19937_64 rng(0xC0FFEE);
-  for (int trial = 0; trial < 30; ++trial) {
-    RecoveryOrderIndex idx;
-    std::unordered_map<TrajId, EntityHandle> ref;
-    int ops = 1500;
-    for (int op = 0; op < ops; ++op) {
-      uint64_t choice = rng() % 100;
-      if (choice < 60) {
-        // Insert-or-overwrite through operator[], as Update() does.
-        TrajId id = static_cast<TrajId>(rng() % 2500);
-        EntityHandle h = EntityHandle::Pack(static_cast<uint32_t>(rng()), 1);
-        idx[id] = h;
-        ref[id] = h;
-      } else if (choice < 85) {
-        // find + erase, as MarkCompleted()/MarkDropped() do.
-        TrajId id = static_cast<TrajId>(rng() % 2500);
-        auto it = idx.find(id);
-        auto rit = ref.find(id);
-        ASSERT_EQ(it != idx.end(), rit != ref.end());
-        if (rit != ref.end()) {
-          EXPECT_EQ(it->second, rit->second);
-          idx.erase(it);
-          ref.erase(rit);
-        }
-      } else {
-        // Conditional erase-during-scan, as TakeByReplica() does. The scan
-        // itself asserts the orders agree at every node.
-        uint64_t mod = 1 + rng() % 5;
-        uint64_t who = rng() % mod;
-        auto it = idx.begin();
-        auto rit = ref.begin();
-        while (rit != ref.end()) {
-          ASSERT_NE(it, idx.end());
-          ASSERT_EQ(it->first, rit->first);
-          if (rit->second.slot() % mod == who) {
-            it = idx.erase(it);
-            rit = ref.erase(rit);
-          } else {
-            ++it;
-            ++rit;
-          }
-        }
-        EXPECT_EQ(it, idx.end());
-      }
-      if (op % 251 == 0) {
-        ExpectSameOrder(idx, ref);
-      }
-    }
-    ExpectSameOrder(idx, ref);
+  std::vector<std::array<int64_t, 3>> ops(6000);  // (choice, id, owner)
+  for (size_t i = 0; i < ops.size(); ++i) {
+    // Ids come from a window that widens as PromptPool keeps issuing them.
+    ops[i] = {static_cast<int64_t>(rng() % 100), static_cast<int64_t>(rng() % (50 + i / 2)),
+              static_cast<int64_t>(rng() % 4)};
   }
-}
-
-TEST(RecoveryOrderIndexTest, RebuildFromOrderContinuesIdentically) {
-  std::mt19937_64 rng(0xBADC0DE);
-  RecoveryOrderIndex idx;
-  std::unordered_map<TrajId, EntityHandle> ref;
-  auto step = [&](int n) {
-    for (int op = 0; op < n; ++op) {
-      uint64_t choice = rng() % 100;
-      TrajId id = static_cast<TrajId>(rng() % 800);
-      if (choice < 65) {
-        EntityHandle h = EntityHandle::Pack(static_cast<uint32_t>(rng()), 1);
-        idx[id] = h;
-        ref[id] = h;
-      } else {
-        auto it = idx.find(id);
-        auto rit = ref.find(id);
-        ASSERT_EQ(it != idx.end(), rit != ref.end());
-        if (rit != ref.end()) {
-          idx.erase(it);
-          ref.erase(rit);
-        }
-      }
-    }
-  };
-  step(700);
-  ExpectSameOrder(idx, ref);
-
-  // Serialize (bucket_count, iteration order), rebuild a fresh table from
-  // the witness, and keep going: the rebuilt table must make the same
-  // layout decisions as the original forever after.
-  std::vector<std::pair<TrajId, EntityHandle>> entries;
-  for (const auto& [id, handle] : idx) {
-    entries.emplace_back(id, handle);
-  }
-  RecoveryOrderIndex rebuilt;
-  rebuilt.RebuildFromOrder(idx.bucket_count(), entries);
-  ExpectSameOrder(rebuilt, ref);
-
-  RecoveryOrderIndex* live = &rebuilt;
-  for (int op = 0; op < 900; ++op) {
-    uint64_t choice = rng() % 100;
-    TrajId id = static_cast<TrajId>(rng() % 800);
-    if (choice < 65) {
-      EntityHandle h = EntityHandle::Pack(static_cast<uint32_t>(rng()), 1);
-      (*live)[id] = h;
-      ref[id] = h;
+  // Applies op `i` to `pool`; returns the ids a take recovered.
+  auto apply = [&ops](PartialResponsePool& pool, size_t i) {
+    auto [choice, id, owner] = ops[i];
+    std::vector<TrajId> taken;
+    if (choice < 70) {
+      TrajectoryWork w;
+      w.record = Rec(id, 0);
+      w.InitContext();
+      pool.Update(w, static_cast<int>(owner));
+    } else if (choice < 84) {
+      pool.MarkCompleted(id);
+    } else if (choice < 98) {
+      pool.MarkDropped(id);
     } else {
-      auto it = live->find(id);
-      auto rit = ref.find(id);
-      ASSERT_EQ(it != live->end(), rit != ref.end());
-      if (rit != ref.end()) {
-        live->erase(it);
-        ref.erase(rit);
+      for (const TrajectoryWork& w : pool.TakeByReplica(static_cast<int>(owner))) {
+        taken.push_back(w.record.id);
       }
     }
-  }
-  ExpectSameOrder(rebuilt, ref);
+    return taken;
+  };
 
-  // The empty pre-growth table round-trips too.
-  RecoveryOrderIndex empty_rebuilt;
-  empty_rebuilt.RebuildFromOrder(1, {});
-  EXPECT_EQ(empty_rebuilt.size(), 0u);
-  EXPECT_EQ(empty_rebuilt.bucket_count(), 1u);
+  PartialResponsePool live;
+  std::map<TrajId, int64_t> model;  // live id -> owner
+  std::set<TrajId> terminal;
+  size_t recovered = 0;
+  for (size_t i = 0; i < 3000; ++i) {
+    auto [choice, id, owner] = ops[i];
+    std::vector<TrajId> want;
+    if (choice < 70) {
+      if (terminal.count(id) == 0) {
+        model[id] = owner;
+      }
+    } else if (choice < 98) {
+      model.erase(id);
+      terminal.insert(id);
+    } else {
+      for (auto [live_id, live_owner] : model) {
+        if (live_owner == owner) {
+          want.push_back(live_id);
+        }
+      }
+      std::erase_if(model, [owner = owner](const auto& kv) { return kv.second == owner; });
+    }
+    std::vector<TrajId> got = apply(live, i);
+    ASSERT_EQ(got, want) << "op " << i;
+    recovered += got.size();
+  }
+  ASSERT_GT(recovered, 300u);
+  ASSERT_EQ(live.size(), model.size());
+  ASSERT_GT(live.size(), 10u);
+
+  SnapshotWriter writer;
+  SnapshotTx write_tx(&writer);
+  live.Snapshot(write_tx);
+  std::string blob = writer.Finish();
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Parse(blob, &error)) << error;
+  PartialResponsePool adopted;
+  SnapshotTx adopt_tx(&reader, SnapshotMode::kAdopt);
+  adopted.Snapshot(adopt_tx);
+  ASSERT_TRUE(adopt_tx.ok()) << adopt_tx.mismatches().front();
+  // The adopted pool re-serializes to the same bytes...
+  SnapshotWriter rewriter;
+  SnapshotTx rewrite_tx(&rewriter);
+  adopted.Snapshot(rewrite_tx);
+  EXPECT_EQ(rewriter.Finish(), blob);
+  // ...and recovers exactly what the original does from here on.
+  for (size_t i = 3000; i < ops.size(); ++i) {
+    ASSERT_EQ(apply(adopted, i), apply(live, i)) << "op " << i;
+  }
+  EXPECT_EQ(adopted.size(), live.size());
+  EXPECT_EQ(adopted.updates(), live.updates());
+  EXPECT_EQ(adopted.completed(), live.completed());
+  EXPECT_EQ(adopted.dropped(), live.dropped());
+  EXPECT_EQ(adopted.stale_updates(), live.stale_updates());
 }
 
 }  // namespace

@@ -38,12 +38,20 @@ class ManagerTest : public ::testing::Test {
     return RolloutManager(&sim_, cfg, ptrs_, relays_.get(), pool_.get(), &partial_pool_);
   }
 
+  // The same guard as DriverBase::WireCompletion: serving work never enters
+  // the partial-response pool or the experience buffer.
   void WireCompletions(RolloutManager* manager) {
     for (RolloutReplica* r : ptrs_) {
-      r->set_on_progress(
-          [this](const TrajectoryWork& w, int id) { partial_pool_.Update(w, id); });
+      r->set_on_progress([this](const TrajectoryWork& w, int id) {
+        if (!IsServingId(w.record.id)) {
+          partial_pool_.Update(w, id);
+        }
+      });
       r->set_on_complete([this](TrajectoryRecord rec) {
-        partial_pool_.Remove(rec.id);
+        if (IsServingId(rec.id)) {
+          return;
+        }
+        partial_pool_.MarkCompleted(rec.id);
         buffer_.Push(std::move(rec));
       });
       r->set_on_batch_done([manager](RolloutReplica* rep) { manager->OnBatchDone(rep); });
@@ -226,7 +234,7 @@ TEST_F(ManagerTest, ServingDeadlineOnSweepBoundaryIsNotLoadShed) {
       manager.OnServingComplete(rec);
       return;
     }
-    partial_pool_.Remove(rec.id);
+    partial_pool_.MarkCompleted(rec.id);
     buffer_.Push(std::move(rec));
   });
   manager.Start();

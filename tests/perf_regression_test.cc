@@ -85,9 +85,10 @@ TEST(PerfRegressionTest, FingerprintsStableAcrossSweepThreadCounts) {
 }
 
 TEST(PerfRegressionTest, CorpusFingerprintsMatchGoldenUnderSharding) {
-  // The sharded engine must hit the exact same golden hashes as serial:
-  // replay every corpus scenario with shards=4 and diff against the same
-  // checked-in file the serial gate uses.
+  // The sharded engine must reproduce the serial engine bit for bit: replay
+  // every corpus scenario serially and with shards=4 and compare the two
+  // runs' hashes entry by entry. (The checked-in golden is the serial gate's
+  // job, above.)
   for (const std::string& path : ListCorpus(LAMINAR_FUZZ_CORPUS_DIR)) {
     Scenario scn;
     std::string error;

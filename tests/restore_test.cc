@@ -1,5 +1,5 @@
 // Direct-boot restore suite (DESIGN.md §13): a run restarted from an LMSNAP1
-// v2 blob must be indistinguishable from one that never stopped — identical
+// blob must be indistinguishable from one that never stopped — identical
 // fingerprint (reports, iterations, series, ledger, binary trace) and an
 // identical boot-barrier re-snapshot — across shard counts, with the serving
 // tier on or off, and under crash-restart chaos. The replay-anchored path
@@ -301,6 +301,63 @@ TEST(DirectBootTest, RearmedPeriodicTickSurvivesSnapshotAtBarrier) {
   boot.RunUntil(SimTime(5.5));
   EXPECT_EQ(rec.fires(), std::vector<double>({1.0, 2.0, 3.0, 4.0, 5.0}));
   EXPECT_EQ(boot_rec.fires(), std::vector<double>({2.0, 3.0, 4.0, 5.0}));
+}
+
+// Re-emits every record of `blob` under another header version: a blob in
+// today's layout whose version says it is older.
+std::string Restamp(const std::string& blob, uint32_t version) {
+  SnapshotReader reader;
+  std::string error;
+  EXPECT_TRUE(reader.Parse(blob, &error)) << error;
+  SnapshotWriter writer(version);
+  for (const SnapshotRecord& r : reader.records()) {
+    std::string name(r.name);
+    switch (r.kind) {
+      case SnapshotRecordKind::kSection: writer.BeginSection(name); break;
+      case SnapshotRecordKind::kEndSection: writer.EndSection(); break;
+      case SnapshotRecordKind::kU64: writer.U64(name, r.u64); break;
+      case SnapshotRecordKind::kI64: writer.I64(name, static_cast<int64_t>(r.u64)); break;
+      case SnapshotRecordKind::kF64: writer.F64(name, SnapshotBitsF64(r.u64)); break;
+      case SnapshotRecordKind::kBytes: writer.Bytes(name, std::string(r.bytes)); break;
+      case SnapshotRecordKind::kEndOfStream: break;
+    }
+  }
+  return writer.Finish();
+}
+
+// v3 changed the partial_pool section (ascending-TrajId entries, no bucket
+// count, no order digest). An older blob still parses, but it is refused by
+// its version: direct boot aborts naming the version before adopting a
+// single field, and a verify reports the version instead of diffing fields.
+// The fixture carries today's layout, so only the version can refuse it.
+TEST(DirectBootTest, RefusesBlobsOlderThanCurrentVersion) {
+  RlSystemConfig base = RestoreConfig();
+  SystemReport full = RunExperiment(base);
+  RlSystemConfig snapped = base;
+  snapped.snapshot_at_seconds = 0.5 * full.simulated_seconds;
+  SystemReport a = RunExperiment(snapped);
+  ASSERT_NE(a.snapshot, nullptr);
+  auto old_blob = std::make_shared<const std::string>(Restamp(*a.snapshot, 2));
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Parse(*old_blob, &error)) << error;
+  EXPECT_EQ(reader.version(), 2u);
+
+  RlSystemConfig verify = snapped;
+  verify.snapshot_verify = old_blob;
+  SystemReport v = RunExperiment(verify);
+  ASSERT_EQ(v.snapshot_mismatches.size(), 1u);
+  EXPECT_NE(v.snapshot_mismatches[0].find("LMSNAP1 v2"), std::string::npos)
+      << v.snapshot_mismatches[0];
+  EXPECT_EQ(RunFingerprint(v), RunFingerprint(full));
+
+  RlSystemConfig boot = base;
+  boot.restore_from = old_blob;
+  EXPECT_DEATH(RunExperiment(boot), "restore_from blob is LMSNAP1 v2");
+  // The same bytes stamped with the current version boot normally.
+  boot.restore_from = std::make_shared<const std::string>(Restamp(*a.snapshot, kSnapshotVersion));
+  EXPECT_EQ(*boot.restore_from, *a.snapshot);
+  EXPECT_EQ(RunFingerprint(RunExperiment(boot)), RunFingerprint(full));
 }
 
 }  // namespace
