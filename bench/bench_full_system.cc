@@ -6,14 +6,10 @@
 //   bench_full_system                        # table on stdout
 //   bench_full_system --reps 5               # more samples per config
 //   bench_full_system --json out.json --label post-refactor
-//   bench_full_system --shards 4 --window-stats   # window-quality profile
 //
 // The simulated workload is deterministic, so `events` is identical across
 // reps and across code changes that preserve byte-identity; only the wall
 // clock moves. The best (fastest) rep is reported to cut scheduler noise.
-// --window-stats prints each config's deterministic window-quality profile
-// (DESIGN.md §12) to stderr; it never enters the JSON snapshot, whose
-// fields stay fingerprint-comparable across shard counts.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -22,12 +18,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/cluster/hardware.h"
-#include "src/cluster/placement.h"
 #include "src/common/table.h"
 #include "src/core/run.h"
-#include "src/llm/decode_model.h"
-#include "src/llm/model_spec.h"
 #include "src/sim/simulator.h"
 
 namespace laminar {
@@ -65,7 +57,6 @@ RlSystemConfig ChaosConfig() {
   cfg.chaos.replica_slow_per_hour = 20.0;
   cfg.chaos.message_drop_per_hour = 120.0;
   cfg.invariants_enabled = true;
-  ApplyShards(cfg);
   return cfg;
 }
 
@@ -81,26 +72,14 @@ std::vector<NamedConfig> BuildConfigs() {
   out.push_back({"verl_math_7B_128gpu",
                  ThroughputConfig(SystemKind::kVerlSync, ModelScale::k7B, 128)});
   out.push_back({"laminar_chaos_16gpu", ChaosConfig()});
-  // Single-run scale ceiling: a 1024-GPU fleet (vs sweeping many small
-  // runs) is where the sharded engine earns its keep — see --shards.
-  // Table 2 stops at 512 for Laminar/32B; extend its 50/50 split one
-  // doubling with an explicit placement.
+  // Single-run scale ceiling: a 1024-GPU fleet. Table 2 stops at 512 for
+  // Laminar/32B; extend its 50/50 split one doubling with an explicit
+  // placement.
   RlSystemConfig big = ThroughputConfig(SystemKind::kLaminar, ModelScale::k32B, 1024);
   big.train_gpus = 512;
   big.rollout_gpus = 512;
   out.push_back({"laminar_math_32B_1024gpu", big});
   return out;
-}
-
-// The pre-topology global lookahead bound: half the decode model's minimum
-// step latency, identical for every lane. --global-lookahead pins each
-// config to this so the window-quality gain from per-lane horizons can be
-// measured A/B (results stay byte-identical either way).
-double LegacyGlobalLookahead(const RlSystemConfig& cfg) {
-  MachineSpec spec;
-  return 0.5 * DecodeModel(ModelForScale(cfg.scale), spec,
-                           RolloutTensorParallel(cfg.system, cfg.scale))
-                   .StepLatency(1, 0.0);
 }
 
 struct RunResult {
@@ -111,36 +90,7 @@ struct RunResult {
   double tokens_per_sec = 0.0;  // simulated throughput (determinism witness)
 };
 
-void PrintWindowStats(const std::string& name, const ShardWindowStats& ws) {
-  std::fprintf(stderr,
-               "[window-stats] %s: windows=%llu events=%llu serial=%llu "
-               "replayed=%llu mean_ev/win=%.2f mean_lanes=%.2f "
-               "serial_frac=%.4f lane_ctrl=%llu\n",
-               name.c_str(), static_cast<unsigned long long>(ws.windows),
-               static_cast<unsigned long long>(ws.window_events),
-               static_cast<unsigned long long>(ws.serial_steps),
-               static_cast<unsigned long long>(ws.actions_replayed),
-               ws.mean_events_per_window(), ws.mean_eligible_lanes(),
-               ws.serial_fraction(),
-               static_cast<unsigned long long>(ws.lane_control_events));
-  std::fprintf(stderr,
-               "[window-stats] %s: rejects no_floor=%llu narrow=%llu "
-               "few_lanes=%llu fence_stall=%llu (share %.4f) | bound "
-               "fence=%llu queue=%llu cap=%llu lookahead=%llu lane_ctrl=%llu\n",
-               name.c_str(),
-               static_cast<unsigned long long>(ws.rejects_no_floor),
-               static_cast<unsigned long long>(ws.rejects_narrow),
-               static_cast<unsigned long long>(ws.rejects_few_lanes),
-               static_cast<unsigned long long>(ws.fence_stall_rejects),
-               ws.fence_stall_share(),
-               static_cast<unsigned long long>(ws.bound_fence),
-               static_cast<unsigned long long>(ws.bound_queue),
-               static_cast<unsigned long long>(ws.bound_cap),
-               static_cast<unsigned long long>(ws.bound_lookahead),
-               static_cast<unsigned long long>(ws.bound_lane_control));
-}
-
-RunResult Measure(const NamedConfig& nc, int reps, bool window_stats) {
+RunResult Measure(const NamedConfig& nc, int reps) {
   RunResult r;
   r.name = nc.name;
   for (int rep = 0; rep < reps; ++rep) {
@@ -152,9 +102,6 @@ RunResult Measure(const NamedConfig& nc, int reps, bool window_stats) {
     r.tokens_per_sec = report.throughput_tokens_per_sec;
     if (rep == 0 || wall.count() < r.best_wall_seconds) {
       r.best_wall_seconds = wall.count();
-    }
-    if (window_stats && rep == 0) {
-      PrintWindowStats(nc.name, driver->sim().window_stats());
     }
   }
   r.events_per_sec = static_cast<double>(r.events) / r.best_wall_seconds;
@@ -186,20 +133,13 @@ void WriteJson(const std::string& path, const std::string& label,
   std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
-void Run(int reps, const std::string& json_path, const std::string& label,
-         bool window_stats, bool global_lookahead) {
+void Run(int reps, const std::string& json_path, const std::string& label) {
   Banner("Full-system hot-path macro-benchmark (events/sec)");
   std::printf("%d rep(s) per config, best rep reported.\n\n", reps);
   std::vector<RunResult> results;
   Table table({"config", "events", "best wall (s)", "events/sec", "sim tokens/s"});
-  for (NamedConfig& nc : BuildConfigs()) {
-    if (global_lookahead) {
-      // Reinstate the PR 6 baseline wholesale: the global half-step bound
-      // and every control event fencing on lane 0.
-      nc.cfg.shard_lookahead_seconds = LegacyGlobalLookahead(nc.cfg);
-      nc.cfg.shard_lane_control = false;
-    }
-    RunResult r = Measure(nc, reps, window_stats);
+  for (const NamedConfig& nc : BuildConfigs()) {
+    RunResult r = Measure(nc, reps);
     char wall[32], eps[32];
     std::snprintf(wall, sizeof(wall), "%.3f", r.best_wall_seconds);
     std::snprintf(eps, sizeof(eps), "%.0f", r.events_per_sec);
@@ -220,8 +160,6 @@ int main(int argc, char** argv) {
   int reps = 3;
   std::string json_path;
   std::string label = "unlabeled";
-  bool window_stats = false;
-  bool global_lookahead = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
@@ -229,22 +167,12 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
       label = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      laminar::SetBenchShards(std::atoi(argv[++i]));
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      laminar::SetBenchShards(std::atoi(argv[i] + 9));
-    } else if (std::strcmp(argv[i], "--window-stats") == 0) {
-      window_stats = true;
-    } else if (std::strcmp(argv[i], "--global-lookahead") == 0) {
-      global_lookahead = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--reps N] [--json PATH] [--label NAME] "
-                   "[--shards N] [--window-stats] [--global-lookahead]\n",
+      std::fprintf(stderr, "usage: %s [--reps N] [--json PATH] [--label NAME]\n",
                    argv[0]);
       return 2;
     }
   }
-  laminar::Run(reps, json_path, label, window_stats, global_lookahead);
+  laminar::Run(reps, json_path, label);
   return 0;
 }

@@ -9,7 +9,7 @@
 //
 //   bench_serving_slo                       # table on stdout
 //   bench_serving_slo --json out.json --label post-change
-//   bench_serving_slo --shards 4 --trace-out serving.json --snapshot-at 120
+//   bench_serving_slo --trace-out serving.json --snapshot-at 120
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -50,7 +50,6 @@ RlSystemConfig ServingArm(int dedicated_replicas) {
   cfg.serving.slo_base_seconds = 60.0;
   cfg.serving.slo_per_token_seconds = 0.05;
   cfg.serving.dedicated_replicas = dedicated_replicas;
-  ApplyShards(cfg);
   return cfg;
 }
 

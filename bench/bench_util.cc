@@ -15,7 +15,6 @@ namespace {
 
 std::string g_trace_out;     // empty = tracing off
 int g_trace_index = 0;       // per-process trace file counter
-int g_shards = 1;            // event-queue shards; 1 = serial engine
 double g_snapshot_at = 0.0;  // 0 = no snapshot barrier
 std::string g_snapshot_out;  // empty = don't write warm-start files
 int g_snapshot_index = 0;    // per-process snapshot file counter
@@ -59,10 +58,6 @@ void InitBenchTracing(int argc, char** argv) {
       g_trace_out = argv[++i];
     } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
       g_trace_out = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      SetBenchShards(std::atoi(argv[++i]));
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      SetBenchShards(std::atoi(argv[i] + 9));
     } else if (std::strcmp(argv[i], "--snapshot-at") == 0 && i + 1 < argc) {
       g_snapshot_at = std::atof(argv[++i]);
     } else if (std::strncmp(argv[i], "--snapshot-at=", 14) == 0) {
@@ -80,16 +75,6 @@ void InitBenchTracing(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--restore-mode=", 15) == 0) {
       ParseRestoreMode(argv[i] + 15);
     }
-  }
-}
-
-void SetBenchShards(int shards) { g_shards = shards < 1 ? 1 : shards; }
-
-int BenchShards() { return g_shards; }
-
-void ApplyShards(RlSystemConfig& cfg) {
-  if (cfg.shards == 1) {
-    cfg.shards = g_shards;
   }
 }
 
@@ -197,7 +182,6 @@ RlSystemConfig ThroughputConfig(SystemKind system, ModelScale scale, int total_g
   cfg.warmup_iterations = 2;
   cfg.measure_iterations = 3;
   cfg.seed = 2026;
-  ApplyShards(cfg);
   return cfg;
 }
 
@@ -211,15 +195,12 @@ RlSystemConfig ConvergenceConfig(SystemKind system, ModelScale scale, int total_
 }
 
 std::vector<SystemReport> RunSweep(const std::vector<RlSystemConfig>& configs) {
-  if (!BenchTracingEnabled() && g_shards == 1 && !BenchSnapshotEnabled()) {
+  if (!BenchTracingEnabled() && !BenchSnapshotEnabled()) {
     return RunExperiments(configs);
   }
   std::vector<RlSystemConfig> armed = configs;
   for (RlSystemConfig& cfg : armed) {
     ArmTrace(cfg);
-    // Grid entries built outside the shared factories still honour --shards;
-    // results are byte-identical for any shard count, so tables don't move.
-    ApplyShards(cfg);
     ArmSnapshot(cfg);
   }
   std::vector<SystemReport> reports = RunExperiments(armed);

@@ -37,18 +37,7 @@ std::vector<SystemReport> RunSweep(const std::vector<RlSystemConfig>& configs);
 // "<base>.<NNN><ext>" in submission order — Chrome/Perfetto JSON when the
 // path ends in ".json", the compact binary format otherwise. Notices go to
 // stderr so table output on stdout stays byte-identical.
-//
-// Harnesses also accept `--shards <N>` (or --shards=<N>): every experiment
-// then runs on the sharded parallel event engine with N replica lanes
-// (DESIGN.md §12). Results are byte-identical to serial for any N, so the
-// printed tables never change — only wall-clock does. Default 1 (serial).
 void InitBenchTracing(int argc, char** argv);
-// Shard-count plumbing for harnesses with their own argument parsers.
-void SetBenchShards(int shards);
-int BenchShards();
-// Applies the --shards setting to a config that still has the default
-// shard count (explicitly sharded configs win).
-void ApplyShards(RlSystemConfig& cfg);
 bool BenchTracingEnabled();
 // Enables trace capture on `cfg` when --trace-out was given (for harnesses
 // that build drivers directly instead of going through RunSweep).
@@ -58,7 +47,7 @@ void MaybeWriteTrace(const SystemReport& report);
 
 // Warm-start snapshots --------------------------------------------------------
 // Every harness accepts `--snapshot-at <T>` (or =<T>): each experiment then
-// pauses at the shard-window barrier nearest T simulated seconds and captures
+// pauses at the first event boundary at or past T simulated seconds and captures
 // an LMSNAP1 state snapshot. A snapshot is an observation, never a
 // perturbation, so the printed tables are byte-identical with or without it.
 // `--snapshot-out <path>` writes each experiment's snapshot as a

@@ -40,12 +40,10 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seeds N] [--base-seed S] [--corpus-dir DIR] [--no-shrink]\n"
-               "       [--threads-a N] [--threads-b N] [--max-failures N] [--shards N]\n"
+               "       [--threads-a N] [--threads-b N] [--max-failures N]\n"
                "       [--no-snapshot-diff] [--snapshot-at T] [--snapshot-out FILE]\n"
                "       [--restore-from FILE] [--restore-mode direct|replay]\n"
                "       [--replay FILE...] [--dump SEED] [--fingerprints DIR]\n"
-               "--shards sets the shard-differential twin's lane count (0 disables\n"
-               "the sharded-vs-serial byte-identity oracle; default 4).\n"
                "--snapshot-at T with --replay pins the snapshot oracle's barrier to\n"
                "T seconds; add --snapshot-out to also write a warm-start file, which\n"
                "--restore-from resumes: direct boot by default, or replay-anchored\n"
@@ -228,8 +226,6 @@ int Main(int argc, char** argv) {
       opts.eval.sweep_threads_b = static_cast<unsigned>(std::atoi(next("--threads-b")));
     } else if (arg == "--max-failures") {
       opts.max_failures = std::atoi(next("--max-failures"));
-    } else if (arg == "--shards") {
-      opts.eval.diff_shards = std::atoi(next("--shards"));
     } else if (arg == "--no-snapshot-diff") {
       opts.eval.diff_snapshot = false;
     } else if (arg == "--snapshot-at") {

@@ -4,11 +4,6 @@
 
 namespace laminar {
 
-double MachineSpec::control_latency_floor() const {
-  // alpha (message startup) + beta for the first byte of a one-flow message.
-  return rdma_startup_latency + 1.0 / rdma_flow_bandwidth;
-}
-
 ClusterSpec ClusterSpec::ForGpus(int total_gpus) {
   ClusterSpec spec;
   LAMINAR_CHECK_GT(total_gpus, 0);

@@ -60,13 +60,6 @@ struct MachineSpec {
   // RDMA per-message startup latency (T_start in Appendix D).
   double rdma_startup_latency = 5.0e-6;  // seconds
   double host_memory_bytes = 2.0e12;     // plenty for relay weight hosting
-
-  // Minimum latency of any cross-machine control interaction under the
-  // alpha-beta link model: one RDMA message startup (alpha) plus the first
-  // byte over a single flow (beta). The hard lower floor for the sharded
-  // engine's per-lane lookahead horizons (DESIGN.md §12) — no effect of an
-  // event on one machine can reach another machine sooner.
-  double control_latency_floor() const;
 };
 
 // The whole cluster.

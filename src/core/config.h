@@ -100,34 +100,13 @@ struct RlSystemConfig {
   // attached to the SystemReport.
   TraceConfig trace;
 
-  // Parallel DES (DESIGN.md §12): number of event-queue shards the replica
-  // population is partitioned into. 1 = the classic serial engine; N > 1
-  // runs conservative lookahead windows with byte-identical results.
-  int shards = 1;
-  // Worker threads for window execution: -1 = take from the process-wide
-  // ThreadBudget, 0 = run lanes inline on the coordinator, N = exactly N.
-  int shard_workers = -1;
-  // Cross-shard lookahead horizon in (undilated) simulated seconds;
-  // 0 = derive per lane from the decode-step times of the replicas mapped
-  // onto each lane, floored by the machine's alpha-beta control latency
-  // (DESIGN.md §12). An explicit value wins everywhere: one global bound,
-  // no topology derivation.
-  double shard_lookahead_seconds = 0.0;
-  // Lane-riding control traffic (DESIGN.md §12): classified lane-local
-  // control events (relay pull completions, machine stall thaws) ride their
-  // machine's replica lane instead of fencing shard windows on lane 0.
-  // Results are byte-identical either way — the fuzzer's lane-control twin
-  // holds this false and demands an unmoved fingerprint.
-  bool shard_lane_control = true;
-
   // Snapshot / restore (src/snapshot, DESIGN.md §13). When
   // snapshot_at_seconds > 0 the driver pauses the run at the first event
-  // boundary at or past this time — a shard-window barrier when sharded, so
-  // serial and sharded runs capture the identical state — serializes every
-  // stateful component into an LMSNAP1 witness and attaches it to the
-  // report. snapshot_verify, when set, additionally verifies the live state
-  // field-by-field against the given blob at that same barrier and reports
-  // any mismatches (the fuzzer's restore/shard-invariance oracle).
+  // boundary at or past this time, serializes every stateful component into
+  // an LMSNAP1 witness and attaches it to the report. snapshot_verify, when
+  // set, additionally verifies the live state field-by-field against the
+  // given blob at that same barrier and reports any mismatches (the
+  // fuzzer's snapshot/restore oracle).
   double snapshot_at_seconds = 0.0;
   std::shared_ptr<const std::string> snapshot_verify;
   // Direct-boot restore: when set, Run() builds the system, adopts every

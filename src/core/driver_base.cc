@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -88,36 +85,7 @@ DriverBase::DriverBase(RlSystemConfig config)
     cfg_.invariant_sweep_period_seconds *= inv;
     cfg_.sample_period_seconds *= inv;
     cfg_.max_sim_seconds *= inv;
-    cfg_.shard_lookahead_seconds *= inv;
     cfg_.snapshot_at_seconds *= inv;
-  }
-
-  if (cfg_.shards > 1) {
-    ShardOptions so;
-    so.num_shards = cfg_.shards;
-    so.num_workers = cfg_.shard_workers;
-    // The horizon must stay below the earliest consequence any staged
-    // callback can schedule. The binding floor across the systems is the
-    // decode model's minimum step latency (every AssignWork lands at least
-    // one prefill+step ahead); relay pulls, redirect backoffs and train
-    // steps are orders of magnitude above it. Halving leaves slack, and the
-    // engine's frontier/cross-shard checks turn any miscalibration into a
-    // hard failure rather than silent divergence. This global scalar is the
-    // boot-time horizon; once the fleet is built, Run() replaces it with
-    // topology-derived per-lane horizons (full minimum step latency of the
-    // replicas actually mapped onto each lane) unless an explicit
-    // shard_lookahead_seconds override pins the global bound.
-    so.lookahead_seconds =
-        cfg_.shard_lookahead_seconds > 0.0
-            ? cfg_.shard_lookahead_seconds
-            : 0.5 * DecodeModel(model_, machine_spec_, rollout_tp_)
-                        .StepLatency(1, 0.0);
-    so.min_parallel_lanes = 2;  // a one-lane window beats serial by nothing
-    so.lane_control = cfg_.shard_lane_control;
-    sim_.ConfigureShards(so);
-    sim_.set_window_time_cap(cfg_.max_sim_seconds);
-    lane_step_floor_.assign(cfg_.shards,
-                            std::numeric_limits<double>::infinity());
   }
 
   WorkloadConfig wl;
@@ -181,16 +149,6 @@ void DriverBase::BuildReplicas(int num_replicas, int tensor_parallel, int machin
     rc.id = i;
     rc.machine = machine_offset +
                  i * tensor_parallel / machine_spec_.gpus_per_machine;
-    if (cfg_.shards > 1) {
-      // Machine affinity: replicas sharing a machine land on one lane, so a
-      // machine failure's replica sweep never spans lanes mid-window.
-      rc.shard = sim_.AffinityShard(rc.machine);
-      // Track the minimum decode-step latency per lane for the
-      // topology-derived lookahead horizons Run() installs after Setup().
-      double step = decode.StepLatency(1, 0.0);
-      double& floor = lane_step_floor_[rc.shard - 1];
-      floor = std::min(floor, step);
-    }
     rc.max_concurrency = cfg_.max_concurrency;
     rc.kv_transfer_bandwidth = machine_spec_.rdma_flow_bandwidth;
     rc.migration_fixed_overhead *= TimeScale();
@@ -245,33 +203,14 @@ void DriverBase::BuildTrainer(TrainerMode mode, bool auto_continue, TrainBackend
 
 void DriverBase::WireCompletion() {
   for (RolloutReplica* r : replica_ptrs_) {
-    // Both callbacks fire from replica events, which execute inside shard
-    // windows when the simulator is sharded. They touch cross-replica state
-    // (pool, buffer, RNG, trainer), so inside a window they are staged for
-    // serial replay at the barrier; the InShardWindow guard keeps the serial
-    // path free of the capture copy and the std::function allocation.
     r->set_on_progress([this](const TrajectoryWork& work, int replica_id) {
       if (IsServingId(work.record.id)) {
         return;  // serving work is never checkpointed into the pool
       }
-      if (sim_.InShardWindow()) {
-        // Snapshot: the replica keeps mutating `work` after this event, and
-        // the replay must see the state the serial callback would have seen.
-        sim_.RunOrStage([this, work, replica_id] {
-          partial_pool_.Update(work, replica_id);
-        });
-      } else {
-        partial_pool_.Update(work, replica_id);
-      }
+      partial_pool_.Update(work, replica_id);
     });
     r->set_on_complete([this](TrajectoryRecord record) {
-      if (sim_.InShardWindow()) {
-        sim_.RunOrStage([this, record = std::move(record)]() mutable {
-          OnTrajectoryComplete(std::move(record));
-        });
-      } else {
-        OnTrajectoryComplete(std::move(record));
-      }
+      OnTrajectoryComplete(std::move(record));
     });
   }
 }
@@ -378,36 +317,6 @@ SystemReport DriverBase::Run() {
   Setup();
   LAMINAR_CHECK(!replica_ptrs_.empty());
   LAMINAR_CHECK(trainer_ != nullptr);
-  if (cfg_.shards > 1 && cfg_.shard_lookahead_seconds <= 0.0) {
-    // Topology-derived per-lane horizons (DESIGN.md §12): the earliest
-    // externally visible consequence of any replica-lane event is new work
-    // landing on another machine — a prefill (one full weight read, never
-    // faster than a minimum decode step) followed by the first decode step
-    // (a second weight read). Each lane's horizon is therefore twice the
-    // minimum decode-step latency of the replicas actually mapped onto it,
-    // floored by the alpha-beta control latency. Lanes that somehow hold no
-    // replica keep the boot-time global scalar's conservatism. An explicit
-    // shard_lookahead_seconds override skips this and keeps the pure global
-    // bound. LAMINAR_LOOKAHEAD_SCALE recalibrates the derived horizons for
-    // slack experiments — the engine's cross-shard and frontier checks turn
-    // an over-wide horizon into a hard failure, never silent divergence.
-    double fallback = 0.5 * DecodeModel(model_, machine_spec_, rollout_tp_)
-                                .StepLatency(1, 0.0);
-    double control_floor = machine_spec_.control_latency_floor();
-    double scale = 1.0;
-    if (const char* env = std::getenv("LAMINAR_LOOKAHEAD_SCALE")) {
-      scale = std::atof(env);
-      LAMINAR_CHECK_GT(scale, 0.0) << "LAMINAR_LOOKAHEAD_SCALE must be > 0";
-    }
-    std::vector<double> lanes(static_cast<size_t>(cfg_.shards), fallback);
-    for (int s = 0; s < cfg_.shards; ++s) {
-      if (std::isfinite(lane_step_floor_[s])) {
-        lanes[static_cast<size_t>(s)] =
-            std::max(control_floor, 2.0 * lane_step_floor_[s] * scale);
-      }
-    }
-    sim_.SetLaneLookahead(lanes);
-  }
   WireCompletion();
   rate_task_ = std::make_unique<PeriodicTask>(&sim_, cfg_.sample_period_seconds,
                                               kDriverComp, kContRateTick,
@@ -453,17 +362,7 @@ SystemReport DriverBase::Run() {
   }
   if (snap_at > 0.0 && !restoring()) {
     // Pre-snapshot segment: stop after the first event at or past snap_at.
-    // When sharded, cap lookahead windows just below the snapshot time so no
-    // event at or beyond it ever executes inside a window — the run reaches
-    // the barrier on the identical event boundary the serial engine stops
-    // on, and the captured state is shard-count-invariant.
-    if (cfg_.shards > 1) {
-      sim_.set_window_time_cap(std::nextafter(snap_at, 0.0));
-    }
     done = sim_.RunUntilTrue([&] { return stop() || sim_.Now().seconds() >= snap_at; });
-    if (cfg_.shards > 1) {
-      sim_.set_window_time_cap(cfg_.max_sim_seconds);
-    }
     if (!stop()) {
       snapshot_blob_ = TakeSnapshot();
       snapshot_taken_at_ = sim_.Now().seconds();

@@ -55,8 +55,8 @@ class DriverBase : public ContinuationClient {
 
   // Snapshot / restore (src/snapshot, DESIGN.md §13) ----------------------------
   // Serializes every stateful component into one LMSNAP1 blob. Only valid at
-  // an event boundary (never from inside a shard window); Run() calls it at
-  // the cfg_.snapshot_at_seconds barrier.
+  // an event boundary (never from inside an event callback); Run() calls it
+  // at the cfg_.snapshot_at_seconds barrier.
   std::string TakeSnapshot();
   // Walks the identical traversal in verify mode against `blob`; returns the
   // field-level mismatches (empty = the live state is byte-identical to the
@@ -142,10 +142,6 @@ class DriverBase : public ContinuationClient {
   Rng root_rng_;
   Rng score_rng_;
   int rollout_tp_ = 1;
-  // Minimum decode-step latency seen per replica lane (entry i = lane i+1),
-  // accumulated by BuildReplicas when sharded; +inf for lanes with no
-  // replica. Feeds the topology-derived lookahead Run() installs.
-  std::vector<double> lane_step_floor_;
 
   std::unique_ptr<PromptPool> prompts_;
   PartialResponsePool partial_pool_;

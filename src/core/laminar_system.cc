@@ -124,19 +124,14 @@ void LaminarSystem::Setup() {
     sc.slo_per_token_seconds *= TimeScale();
     serving_traffic_ =
         std::make_unique<ServingTrafficGenerator>(sc, root_rng_.Fork("serving"));
-    // Completions arrive through the driver's serving intercept (already
-    // staged for serial replay under sharding by the on_complete wrapper).
+    // Completions arrive through the driver's serving intercept.
     serving_complete_fn_ = [this](TrajectoryRecord record) {
       manager_->OnServingComplete(record);
     };
   }
   for (RolloutReplica* r : replica_ptrs_) {
-    // Fires from a replica event; the manager touches relays, the prompt
-    // pool and global stats, so under sharded execution it is staged for
-    // serial replay.
-    r->set_on_batch_done([this](RolloutReplica* replica) {
-      sim_.RunOrStage([this, replica] { manager_->OnBatchDone(replica); });
-    });
+    r->set_on_batch_done(
+        [this](RolloutReplica* replica) { manager_->OnBatchDone(replica); });
   }
 
   // The trainer hands new weights to the master relay (sub-second stall) and
@@ -371,9 +366,7 @@ void LaminarSystem::PumpServing() {
     return;  // past the horizon; the pump stays quiet for the rest of the run
   }
   // The request itself is parked on the driver (and serialized there); the
-  // heap event carries no payload beyond its kind. Arrivals land on the
-  // control lane: admission touches the whole fleet, so it must never run
-  // inside a shard window.
+  // heap event carries no payload beyond its kind.
   pending_serving_ = req;
   serving_pending_ = true;
   sim_.ScheduleContinuationAt(SimTime(req.arrival_seconds), kSystemComp,

@@ -70,7 +70,7 @@ class LaminarSystem : public DriverBase {
   void OnHeartbeatRevive(int machine);
   void OnSpeedRestore(int replica_id);
   // Online serving tier (DESIGN.md §14): schedules the next generated
-  // arrival on the control lane; each arrival re-arms the pump.
+  // arrival; each arrival re-arms the pump.
   void PumpServing();
   void OnServingArrivalFire();
 

@@ -34,11 +34,7 @@ void PartialRolloutSystem::Setup() {
   });
 
   for (RolloutReplica* r : replica_ptrs_) {
-    // Fires from a replica event; refeeding draws on the shared prompt pool
-    // and buffer, so under sharded execution it is staged for serial replay.
-    r->set_on_batch_done([this](RolloutReplica* replica) {
-      sim_.RunOrStage([this, replica] { FeedReplica(replica); });
-    });
+    r->set_on_batch_done([this](RolloutReplica* replica) { FeedReplica(replica); });
   }
   retry_task_ =
       std::make_unique<PeriodicTask>(&sim_, 5.0 * TimeScale(), [this] { RetryStarved(); });

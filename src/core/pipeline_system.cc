@@ -22,11 +22,7 @@ void PipelineSystem::Setup() {
     trainer_->set_begin_gate([this] { return train_allowed_; });
   }
   for (RolloutReplica* r : replica_ptrs_) {
-    // Fires from a replica event; the round barrier is global state, so
-    // under sharded execution it is staged for serial replay.
-    r->set_on_batch_done([this](RolloutReplica*) {
-      sim_.RunOrStage([this] { OnReplicaBatchDone(); });
-    });
+    r->set_on_batch_done([this](RolloutReplica*) { OnReplicaBatchDone(); });
   }
 }
 

@@ -22,11 +22,7 @@ void SyncSystem::Setup() {
     return stall;
   });
   for (RolloutReplica* r : replica_ptrs_) {
-    // Fires from a replica event; the straggler countdown is global state,
-    // so under sharded execution it is staged for serial replay.
-    r->set_on_batch_done([this](RolloutReplica*) {
-      sim_.RunOrStage([this] { OnReplicaBatchDone(); });
-    });
+    r->set_on_batch_done([this](RolloutReplica*) { OnReplicaBatchDone(); });
   }
 }
 

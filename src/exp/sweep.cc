@@ -6,7 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#include "src/common/thread_budget.h"
 #include "src/core/run.h"
 
 namespace laminar {
@@ -18,23 +17,13 @@ std::vector<SystemReport> RunExperiments(const std::vector<RlSystemConfig>& conf
     return reports;
   }
 
-  // Auto-sized sweeps draw from the process-wide thread budget shared with
-  // the sharded simulator's worker pools, so a sweep of sharded configs
-  // doesn't oversubscribe (run-level parallelism wins; inner shard pools
-  // degrade to inline). Explicit num_threads bypasses the budget.
-  int budget_grant = 0;
   size_t threads = options.num_threads;
   if (threads == 0) {
-    budget_grant = ThreadBudget::Acquire(
-        static_cast<int>(std::min(configs.size(), static_cast<size_t>(256))));
-    threads = static_cast<size_t>(budget_grant) + 1;  // caller's thread runs too
+    threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  if (threads > configs.size()) {
-    threads = configs.size();
-  }
+  threads = std::min(threads, configs.size());
 
   if (threads == 1) {
-    ThreadBudget::Release(budget_grant);
     for (size_t i = 0; i < configs.size(); ++i) {
       reports[i] = RunExperiment(configs[i]);
     }
@@ -76,7 +65,6 @@ std::vector<SystemReport> RunExperiments(const std::vector<RlSystemConfig>& conf
   for (std::thread& t : pool) {
     t.join();
   }
-  ThreadBudget::Release(budget_grant);
   if (first_error) {
     std::rethrow_exception(first_error);
   }

@@ -41,27 +41,18 @@ void RelayTier::RunContinuation(uint16_t kind, const ContinuationPayload& p) {
 void RelayTier::RestoreContinuation(uint16_t kind, const ContinuationPayload& p,
                                     SimTime at) {
   if (kind == kContPullDone) {
-    // Re-anchor the pull completion on its machine's lane (one relay per
-    // rollout machine). The adopted pulls_ map is already in place — the
-    // driver reminted events only after the full component adoption walk.
-    int shard = 0;
-    auto it = pulls_.find(p.a);
-    if (it != pulls_.end()) {
-      shard = sim_->AffinityShard(it->second.relay);
-    }
-    sim_->ScheduleLaneControlAt(shard, at, kRelayComp, kind, p);
+    sim_->ScheduleContinuationAt(at, kRelayComp, kind, p);
     return;
   }
   LAMINAR_CHECK_EQ(kind, kContArrival)
       << "relay tier: unknown restored continuation kind " << kind;
-  // Re-anchor the arrival on its receiving relay's lane and re-seat its event
-  // id on the pending entry the adopted map carries for it. The heap can
-  // also hold arrivals no entry references: ReviveRelay clears the map
-  // without cancelling them, and ScheduleArrival replaces an entry without
-  // cancelling its old event. Those re-mint as the same orphans they were,
-  // so an entry is matched on its arrival time and never created here.
-  EventId id = sim_->ScheduleLaneControlAt(
-      sim_->AffinityShard(static_cast<int>(p.a)), at, kRelayComp, kind, p);
+  // Re-seat the arrival's event id on the pending entry the adopted map
+  // carries for it. The heap can also hold arrivals no entry references:
+  // ReviveRelay clears the map without cancelling them, and ScheduleArrival
+  // replaces an entry without cancelling its old event. Those re-mint as the
+  // same orphans they were, so an entry is matched on its arrival time and
+  // never created here.
+  EventId id = sim_->ScheduleContinuationAt(at, kRelayComp, kind, p);
   auto& pending = relays_[static_cast<int>(p.a)].pending;
   auto it = pending.find(static_cast<int>(p.b));
   if (it != pending.end() && it->second.at == at) {
@@ -70,16 +61,8 @@ void RelayTier::RestoreContinuation(uint16_t kind, const ContinuationPayload& p,
 }
 
 void RelayTier::ScheduleArrival(int relay, int version, SimTime at) {
-  // Chain arrivals touch the receiving relay's own state plus relay-tier
-  // control-plane bookkeeping no window event ever reads, and every
-  // relay-state mutator is itself a serial event — so an arrival rides its
-  // machine's replica lane (one relay per rollout machine) instead of
-  // fencing shard windows on lane 0 (DESIGN.md §12). The master's fan-out
-  // and waiter pull loads it triggers run from serial context, where the
-  // engine's frontier checks guard every downstream schedule.
-  EventId eid = sim_->ScheduleLaneControlAt(
-      sim_->AffinityShard(relay), at, kRelayComp, kContArrival,
-      ContinuationPayload::Of(relay, version));
+  EventId eid = sim_->ScheduleContinuationAt(at, kRelayComp, kContArrival,
+                                             ContinuationPayload::Of(relay, version));
   relays_[relay].pending[version] = PendingArrival{eid, at};
 }
 
@@ -87,11 +70,7 @@ void RelayTier::StartPullLoad(int relay, int got, SimTime requested, PullTicket 
                               double load_seconds) {
   int64_t seq = next_pull_seq_++;
   pulls_[seq] = PendingPull{relay, got, requested, ticket};
-  // Pull completions touch only this machine's replica (plus control-plane
-  // state no window event reads), so they ride the machine's replica lane
-  // instead of fencing every shard window on lane 0 (DESIGN.md §12).
-  sim_->ScheduleLaneControlAfter(sim_->AffinityShard(relay), load_seconds,
-                                 kRelayComp, kContPullDone,
+  sim_->ScheduleContinuationAfter(load_seconds, kRelayComp, kContPullDone,
                                  ContinuationPayload::Of(seq));
 }
 

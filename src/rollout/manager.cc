@@ -126,20 +126,9 @@ void RolloutManager::RestoreContinuation(uint16_t kind, const ContinuationPayloa
     case kContMachineReplaced:
       sim_->ScheduleContinuationAt(at, kManagerComp, kind, p);
       return;
-    case kContStallThaw: {
-      // Re-anchor the thaw on its machine's lane: the adopted thaw_jobs_ map
-      // names the paused replicas, all on one machine. Lane placement never
-      // changes results — a control-lane fallback only narrows windows.
-      int shard = 0;
-      auto it = thaw_jobs_.find(p.a);
-      if (it != thaw_jobs_.end() && !it->second.empty()) {
-        if (RolloutReplica* r = FindReplica(it->second.front())) {
-          shard = sim_->AffinityShard(r->config().machine);
-        }
-      }
-      sim_->ScheduleLaneControlAt(shard, at, kManagerComp, kind, p);
+    case kContStallThaw:
+      sim_->ScheduleContinuationAt(at, kManagerComp, kind, p);
       return;
-    }
     case kContTick:
       tick_->RestorePending(at);
       return;
@@ -741,11 +730,7 @@ void RolloutManager::OnMachineStall(int machine, double duration_seconds) {
   }
   int64_t seq = next_thaw_seq_++;
   thaw_jobs_[seq] = std::move(paused);
-  // The thaw resumes replicas on exactly one machine (plus manager-side
-  // bookkeeping no window event reads), so it rides that machine's replica
-  // lane instead of fencing every shard window on lane 0 (DESIGN.md §12).
-  sim_->ScheduleLaneControlAfter(sim_->AffinityShard(machine), duration_seconds,
-                                 kManagerComp, kContStallThaw,
+  sim_->ScheduleContinuationAfter(duration_seconds, kManagerComp, kContStallThaw,
                                  ContinuationPayload::Of(seq));
 }
 

@@ -69,7 +69,7 @@ void RolloutReplica::RestoreContinuation(uint16_t kind, const ContinuationPayloa
       // The advance metadata (start/steps/latency) was adopted by
       // SnapshotState; only the event itself needs re-seating.
       LAMINAR_CHECK_EQ(p.a, advance_steps_);
-      advance_event_ = sim_->ScheduleContinuationAtOn(config_.shard, at, comp, kind, p);
+      advance_event_ = sim_->ScheduleContinuationAt(at, comp, kind, p);
       return;
     case kContEnvRejoin: {
       // The payload carries the env seq — the stable key into env_waiting_,
@@ -77,7 +77,7 @@ void RolloutReplica::RestoreContinuation(uint16_t kind, const ContinuationPayloa
       // payload keeps the re-minted heap byte-equal to the blob's event_heap
       // section.
       EnvEntry& entry = env_waiting_[FindEnvBySeq(static_cast<uint64_t>(p.a))];
-      entry.event = sim_->ScheduleContinuationAtOn(config_.shard, at, comp, kind, p);
+      entry.event = sim_->ScheduleContinuationAt(at, comp, kind, p);
       return;
     }
   }
@@ -582,9 +582,9 @@ void RolloutReplica::ScheduleAdvance() {
   advance_stall_ = pending_stall_seconds_;
   pending_stall_seconds_ = 0.0;
   TouchMetrics();
-  advance_event_ = sim_->ScheduleContinuationAfterOn(
-      config_.shard, duration, ContinuationComponentId(kContFamilyReplica, config_.id),
-      kContAdvance, ContinuationPayload::Of(steps));
+  advance_event_ = sim_->ScheduleContinuationAfter(
+      duration, ContinuationComponentId(kContFamilyReplica, config_.id), kContAdvance,
+      ContinuationPayload::Of(steps));
 }
 
 void RolloutReplica::PreemptForHeadroom() {
@@ -700,9 +700,8 @@ void RolloutReplica::FinishSegment(TrajectoryWork work) {
     // The event payload names the entry by seq, which is stable across
     // snapshot adoption, so the descriptor serializes and re-mints
     // byte-exactly.
-    entry.event = sim_->ScheduleContinuationAtOn(
-        config_.shard, entry.at,
-        ContinuationComponentId(kContFamilyReplica, config_.id), kContEnvRejoin,
+    entry.event = sim_->ScheduleContinuationAt(
+        entry.at, ContinuationComponentId(kContFamilyReplica, config_.id), kContEnvRejoin,
         ContinuationPayload::Of(static_cast<int64_t>(entry.seq)));
     env_waiting_.push_back(std::move(entry));
     ++num_env_;

@@ -54,10 +54,6 @@ const char* ReplicaPhaseName(ReplicaPhase phase);
 struct ReplicaConfig {
   int id = 0;
   int machine = 0;  // hosting machine == relay index
-  // Event-queue shard (simulator lane) this replica's self-scheduled events
-  // run on. 0 = the control lane (unsharded runs); sharded drivers assign
-  // replicas of one machine to one lane so their events parallelize.
-  int shard = 0;
   // Maximum trajectories resident at once (paper's per-rollout concurrency).
   int max_concurrency = 1024;
   // Fraction of KVCache kept free when admitting new trajectories.

@@ -18,8 +18,7 @@
 //   RestoreContinuation(kind, payload, at)  — a snapshot adoption replays
 //                                             this pending event; re-schedule
 //                                             it at `at` through the usual
-//                                             Schedule*Continuation call
-//                                             (restoring lane affinity) and
+//                                             Schedule*Continuation call and
 //                                             re-seat any EventId bookkeeping
 //                                             the component keeps for it.
 //

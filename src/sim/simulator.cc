@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/logging.h"
-#include "src/sim/shard_exec.h"
 #include "src/snapshot/snapshot.h"
-#include "src/trace/metrics.h"
 
 namespace laminar {
-
-thread_local const Simulator* Simulator::tls_owner_ = nullptr;
-thread_local Simulator::Lane* Simulator::tls_lane_ = nullptr;
 
 // Non-negative IEEE-754 doubles order identically to their bit patterns read
 // as unsigned integers, so the heap can compare timestamps with integer
@@ -24,95 +21,80 @@ uint64_t Simulator::TimeKey(SimTime t) {
 
 double Simulator::KeyTime(uint64_t key) { return std::bit_cast<double>(key); }
 
-Simulator::Simulator() : lanes_(1) { lanes_[0].index = 0; }
-
-Simulator::~Simulator() = default;
-
-uint32_t Simulator::AllocSlot(Lane& lane) {
-  if (!lane.free_slots.empty()) {
-    uint32_t slot = lane.free_slots.back();
-    lane.free_slots.pop_back();
+uint32_t Simulator::AllocSlot() {
+  if (!free_slots_.empty()) {
+    uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
     return slot;
   }
-  LAMINAR_CHECK_LT(lane.slots.size(), static_cast<size_t>(kSlotMask))
-      << "event slab exhausted on lane " << lane.index;
-  lane.slots.emplace_back();
-  return static_cast<uint32_t>(lane.slots.size() - 1);
+  LAMINAR_CHECK_LT(slots_.size(), static_cast<size_t>(kNoCurrent))
+      << "event slab exhausted";
+  slots_.emplace_back();
+  return static_cast<uint32_t>(slots_.size() - 1);
 }
 
-void Simulator::RetireSlot(Lane& lane, uint32_t slot) {
-  Slot& s = lane.slots[slot];
+void Simulator::RetireSlot(uint32_t slot) {
+  Slot& s = slots_[slot];
   if (s.fn) {
     s.fn = nullptr;  // skip the std::function reset churn for descriptor events
   }
   s.desc.comp = -1;
-  s.lane_control = false;
   if (++s.generation == 0) {
     s.generation = 1;  // keep packed ids nonzero and unambiguous
   }
   s.state = SlotState::kFree;
-  lane.free_slots.push_back(slot);
+  free_slots_.push_back(slot);
 }
 
-void Simulator::HeapSiftUp(Lane& lane, size_t i) {
-  auto& heap_keys = lane.heap_keys;
-  auto& heap_meta = lane.heap_meta;
-  const uint64_t k = heap_keys[i];
-  const HeapMeta m = heap_meta[i];
+void Simulator::HeapSiftUp(size_t i) {
+  const uint64_t k = heap_keys_[i];
+  const HeapMeta m = heap_meta_[i];
   while (i > 0) {
     const size_t parent = (i - 1) >> 2;
-    const uint64_t pk = heap_keys[parent];
-    if (!KeyRankLess(k, m.rank, pk, heap_meta[parent].rank)) {
+    if (!HeldBefore(k, m.seq, parent)) {
       break;
     }
-    heap_keys[i] = pk;
-    heap_meta[i] = heap_meta[parent];
+    heap_keys_[i] = heap_keys_[parent];
+    heap_meta_[i] = heap_meta_[parent];
     i = parent;
   }
-  heap_keys[i] = k;
-  heap_meta[i] = m;
+  heap_keys_[i] = k;
+  heap_meta_[i] = m;
 }
 
-void Simulator::HeapSiftDown(Lane& lane, size_t i) {
-  auto& heap_keys = lane.heap_keys;
-  auto& heap_meta = lane.heap_meta;
-  const uint64_t k = heap_keys[i];
-  const HeapMeta m = heap_meta[i];
-  const size_t n = heap_keys.size();
+void Simulator::HeapSiftDown(size_t i) {
+  const uint64_t k = heap_keys_[i];
+  const HeapMeta m = heap_meta_[i];
+  const size_t n = heap_keys_.size();
   for (;;) {
     const size_t child = (i << 2) + 1;
     if (child >= n) {
       break;
     }
     size_t best = child;
-    uint64_t bk = heap_keys[child];
     const size_t end = child + 4 < n ? child + 4 : n;
     for (size_t c = child + 1; c < end; ++c) {
-      const uint64_t ck = heap_keys[c];
-      if (KeyRankLess(ck, heap_meta[c].rank, bk, heap_meta[best].rank)) {
+      if (EntryBefore(c, best)) {
         best = c;
-        bk = ck;
       }
     }
-    if (!KeyRankLess(bk, heap_meta[best].rank, k, m.rank)) {
+    if (HeldBefore(k, m.seq, best)) {
       break;
     }
-    heap_keys[i] = bk;
-    heap_meta[i] = heap_meta[best];
+    heap_keys_[i] = heap_keys_[best];
+    heap_meta_[i] = heap_meta_[best];
     i = best;
   }
-  heap_keys[i] = k;
-  heap_meta[i] = m;
+  heap_keys_[i] = k;
+  heap_meta_[i] = m;
 }
 
-void Simulator::HeapPopTop(Lane& lane) {
-  auto& heap_keys = lane.heap_keys;
-  auto& heap_meta = lane.heap_meta;
-  const uint64_t bk = heap_keys.back();
-  const HeapMeta bm = heap_meta.back();
-  heap_keys.pop_back();
-  heap_meta.pop_back();
-  const size_t n = heap_keys.size();
+void Simulator::HeapPopTop() {
+  const uint64_t bk = heap_keys_.back();
+  const HeapMeta bm = heap_meta_.back();
+  heap_keys_.pop_back();
+  heap_meta_.pop_back();
+  const size_t n = heap_keys_.size();
   if (n == 0) {
     return;
   }
@@ -126,230 +108,94 @@ void Simulator::HeapPopTop(Lane& lane) {
       break;
     }
     size_t best = child;
-    uint64_t bk2 = heap_keys[child];
     const size_t end = child + 4 < n ? child + 4 : n;
     for (size_t c = child + 1; c < end; ++c) {
-      const uint64_t ck = heap_keys[c];
-      if (KeyRankLess(ck, heap_meta[c].rank, bk2, heap_meta[best].rank)) {
+      if (EntryBefore(c, best)) {
         best = c;
-        bk2 = ck;
       }
     }
-    heap_keys[i] = bk2;
-    heap_meta[i] = heap_meta[best];
+    heap_keys_[i] = heap_keys_[best];
+    heap_meta_[i] = heap_meta_[best];
     i = best;
   }
-  heap_keys[i] = bk;
-  heap_meta[i] = bm;
-  HeapSiftUp(lane, i);
+  heap_keys_[i] = bk;
+  heap_meta_[i] = bm;
+  HeapSiftUp(i);
 }
 
-void Simulator::PushHeap(Lane& lane, SimTime t, uint32_t slot, uint32_t generation,
-                         ShardRank rank) {
-  lane.heap_keys.push_back(TimeKey(t));
-  lane.heap_meta.push_back(HeapMeta{rank, slot, generation});
-  HeapSiftUp(lane, lane.heap_keys.size() - 1);
+void Simulator::PushHeap(SimTime t, uint32_t slot, uint32_t generation) {
+  heap_keys_.push_back(TimeKey(t));
+  heap_meta_.push_back(HeapMeta{next_seq_++, slot, generation});
+  HeapSiftUp(heap_keys_.size() - 1);
 }
 
-EventId Simulator::ScheduleOnLane(uint32_t lane_idx, SimTime t,
-                                  std::function<void()> fn) {
-  Lane& ctx = CtxLane();
-  // The one causality check of the engine, shared by every schedule path:
-  // the key is computed against (or validated against) the scheduling
-  // context's own clock — the window lane's clock inside a window, the
-  // replayed action's generation time during a staged-effect replay — so no
-  // path can mint a timestamp below the floor its context was admitted
-  // under.
-  LAMINAR_CHECK(t >= ctx.now) << "scheduling into the past: " << t.seconds() << " < "
-                              << ctx.now.seconds();
-  LAMINAR_CHECK_LT(lane_idx, lanes_.size());
-  if (window_active_) {
-    if (Lane* wl = MutableTlsLane(); wl != nullptr && wl->index != lane_idx) {
-      // Cross-lane schedule from inside a window: must clear the lookahead
-      // horizon, and is staged for the barrier rather than touching the
-      // foreign lane's heap from a worker thread.
-      scheduler_->ValidateCrossShardSchedule(wl->index, wl->now, t);
-      StageFromWindow(*wl, [this, lane_idx, t, fn = std::move(fn)]() mutable {
-        ScheduleOnLane(lane_idx, t, std::move(fn));
-      });
-      return kInvalidEventId;
-    }
-  }
-  Lane& target = lanes_[lane_idx];
-  uint32_t slot = AllocSlot(target);
-  Slot& s = target.slots[slot];
-  s.fn = std::move(fn);
+uint32_t Simulator::ScheduleSlot(SimTime t) {
+  // The one causality check of the engine, shared by every schedule path.
+  LAMINAR_CHECK(t >= now_) << "scheduling into the past: " << t.seconds() << " < "
+                           << now_.seconds();
+  uint32_t slot = AllocSlot();
+  Slot& s = slots_[slot];
   s.state = SlotState::kPending;
-  PushHeap(target, t, slot, s.generation, NextActionRank(ctx));
-  ++target.live;
-  return Pack(lane_idx, slot, s.generation);
-}
-
-EventId Simulator::ScheduleDescOnLane(uint32_t lane_idx, SimTime t,
-                                      const ContinuationDesc& desc,
-                                      bool lane_control) {
-  Lane& ctx = CtxLane();
-  LAMINAR_CHECK(t >= ctx.now) << "scheduling into the past: " << t.seconds() << " < "
-                              << ctx.now.seconds();
-  LAMINAR_CHECK_LT(lane_idx, lanes_.size());
-  if (window_active_) {
-    if (Lane* wl = MutableTlsLane(); wl != nullptr && wl->index != lane_idx) {
-      scheduler_->ValidateCrossShardSchedule(wl->index, wl->now, t);
-      StageFromWindow(*wl, [this, lane_idx, t, desc, lane_control] {
-        ScheduleDescOnLane(lane_idx, t, desc, lane_control);
-      });
-      return kInvalidEventId;
-    }
-  }
-  Lane& target = lanes_[lane_idx];
-  uint32_t slot = AllocSlot(target);
-  Slot& s = target.slots[slot];
-  s.desc = desc;
-  s.state = SlotState::kPending;
-  s.lane_control = lane_control;
-  PushHeap(target, t, slot, s.generation, NextActionRank(ctx));
-  ++target.live;
-  return Pack(lane_idx, slot, s.generation);
+  PushHeap(t, slot, s.generation);
+  ++live_;
+  return slot;
 }
 
 EventId Simulator::ScheduleAt(SimTime t, std::function<void()> fn) {
-  uint32_t target = 0;
-  if (window_active_) {
-    if (Lane* wl = MutableTlsLane()) {
-      target = wl->index;
-    }
-  }
-  return ScheduleOnLane(target, t, std::move(fn));
+  uint32_t slot = ScheduleSlot(t);
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  return Pack(slot, s.generation);
 }
 
 EventId Simulator::ScheduleAfter(double delay, std::function<void()> fn) {
   LAMINAR_CHECK(delay >= 0.0) << "negative delay " << delay;
-  uint32_t target = 0;
-  if (window_active_) {
-    if (Lane* wl = MutableTlsLane()) {
-      target = wl->index;
-    }
-  }
-  return ScheduleOnLane(target, CtxLane().now + delay, std::move(fn));
-}
-
-EventId Simulator::ScheduleAtOn(int shard, SimTime t, std::function<void()> fn) {
-  if (!sharded()) {
-    return ScheduleOnLane(0, t, std::move(fn));
-  }
-  LAMINAR_CHECK_GE(shard, 0);
-  LAMINAR_CHECK_LT(static_cast<size_t>(shard), lanes_.size());
-  return ScheduleOnLane(static_cast<uint32_t>(shard), t, std::move(fn));
-}
-
-EventId Simulator::ScheduleAfterOn(int shard, double delay, std::function<void()> fn) {
-  LAMINAR_CHECK(delay >= 0.0) << "negative delay " << delay;
-  return ScheduleAtOn(shard, CtxLane().now + delay, std::move(fn));
+  return ScheduleAt(now_ + delay, std::move(fn));
 }
 
 EventId Simulator::ScheduleContinuationAt(SimTime t, int32_t comp, uint16_t kind,
                                           const ContinuationPayload& payload) {
   LAMINAR_CHECK_GE(comp, 0);
-  uint32_t target = 0;
-  if (window_active_) {
-    if (Lane* wl = MutableTlsLane()) {
-      target = wl->index;
-    }
-  }
-  return ScheduleDescOnLane(target, t, ContinuationDesc{comp, kind, payload});
+  uint32_t slot = ScheduleSlot(t);
+  Slot& s = slots_[slot];
+  s.desc = ContinuationDesc{comp, kind, payload};
+  return Pack(slot, s.generation);
 }
 
 EventId Simulator::ScheduleContinuationAfter(double delay, int32_t comp, uint16_t kind,
                                              const ContinuationPayload& payload) {
   LAMINAR_CHECK(delay >= 0.0) << "negative delay " << delay;
-  return ScheduleContinuationAt(CtxLane().now + delay, comp, kind, payload);
-}
-
-EventId Simulator::ScheduleContinuationAtOn(int shard, SimTime t, int32_t comp,
-                                            uint16_t kind,
-                                            const ContinuationPayload& payload) {
-  LAMINAR_CHECK_GE(comp, 0);
-  if (!sharded()) {
-    return ScheduleDescOnLane(0, t, ContinuationDesc{comp, kind, payload});
-  }
-  LAMINAR_CHECK_GE(shard, 0);
-  LAMINAR_CHECK_LT(static_cast<size_t>(shard), lanes_.size());
-  return ScheduleDescOnLane(static_cast<uint32_t>(shard), t,
-                            ContinuationDesc{comp, kind, payload});
-}
-
-EventId Simulator::ScheduleContinuationAfterOn(int shard, double delay, int32_t comp,
-                                               uint16_t kind,
-                                               const ContinuationPayload& payload) {
-  LAMINAR_CHECK(delay >= 0.0) << "negative delay " << delay;
-  return ScheduleContinuationAtOn(shard, CtxLane().now + delay, comp, kind, payload);
-}
-
-EventId Simulator::ScheduleLaneControlAt(int shard, SimTime t, int32_t comp,
-                                         uint16_t kind,
-                                         const ContinuationPayload& payload) {
-  LAMINAR_CHECK_GE(comp, 0);
-  if (!lane_control_enabled_ || shard <= 0 ||
-      static_cast<size_t>(shard) >= lanes_.size()) {
-    // Classification off (or the target is not a replica lane): the event
-    // fences on the control lane exactly as before.
-    return ScheduleContinuationAtOn(0, t, comp, kind, payload);
-  }
-  return ScheduleDescOnLane(static_cast<uint32_t>(shard), t,
-                            ContinuationDesc{comp, kind, payload},
-                            /*lane_control=*/true);
-}
-
-EventId Simulator::ScheduleLaneControlAfter(int shard, double delay, int32_t comp,
-                                            uint16_t kind,
-                                            const ContinuationPayload& payload) {
-  LAMINAR_CHECK(delay >= 0.0) << "negative delay " << delay;
-  return ScheduleLaneControlAt(shard, CtxLane().now + delay, comp, kind, payload);
+  return ScheduleContinuationAt(now_ + delay, comp, kind, payload);
 }
 
 EventId Simulator::RearmCurrentAfter(double delay) {
-  Lane& ctx = CtxLane();
-  Lane& exec = window_active_ && MutableTlsLane() != nullptr
-                   ? *MutableTlsLane()
-                   : lanes_[serial_exec_lane_];
-  LAMINAR_CHECK(exec.current != kNoCurrent)
-      << "RearmCurrentAfter outside an event callback";
+  LAMINAR_CHECK(current_ != kNoCurrent) << "RearmCurrentAfter outside an event callback";
   LAMINAR_CHECK(delay >= 0.0) << "negative delay " << delay;
-  Slot& s = exec.slots[exec.current];
+  Slot& s = slots_[current_];
   LAMINAR_CHECK(s.state == SlotState::kExecuting) << "current event already re-armed";
   if (++s.generation == 0) {
     s.generation = 1;
   }
   s.state = SlotState::kRearmed;
-  PushHeap(exec, ctx.now + delay, exec.current, s.generation, NextActionRank(ctx));
-  ++exec.live;
-  return Pack(exec.index, exec.current, s.generation);
+  PushHeap(now_ + delay, current_, s.generation);
+  ++live_;
+  return Pack(current_, s.generation);
 }
 
 bool Simulator::Cancel(EventId id) {
-  uint32_t lane_idx = LaneOf(id);
-  if (lane_idx >= lanes_.size()) {
-    return false;
-  }
-  if (window_active_) {
-    if (Lane* wl = MutableTlsLane()) {
-      LAMINAR_CHECK_EQ(wl->index, lane_idx) << "cross-shard Cancel inside a window";
-    }
-  }
-  Lane& lane = lanes_[lane_idx];
   uint32_t slot = SlotOf(id);
-  if (slot >= lane.slots.size()) {
+  if (slot >= slots_.size()) {
     return false;
   }
-  Slot& s = lane.slots[slot];
+  Slot& s = slots_[slot];
   if (s.generation != GenerationOf(id)) {
     return false;
   }
   if (s.state == SlotState::kPending) {
-    RetireSlot(lane, slot);
-    --lane.live;
-    ++lane.tombstones;
-    MaybeCompactHeap(lane);
+    RetireSlot(slot);
+    --live_;
+    ++tombstones_;
+    MaybeCompactHeap();
     return true;
   }
   if (s.state == SlotState::kRearmed) {
@@ -359,55 +205,53 @@ bool Simulator::Cancel(EventId id) {
       s.generation = 1;
     }
     s.state = SlotState::kExecuting;
-    --lane.live;
-    ++lane.tombstones;
+    --live_;
+    ++tombstones_;
     return true;
   }
   return false;
 }
 
-void Simulator::PruneStaleTop(Lane& lane) {
-  while (!lane.heap_keys.empty() && !Live(lane, lane.heap_meta.front())) {
-    HeapPopTop(lane);
-    --lane.tombstones;
+void Simulator::PruneStaleTop() {
+  while (!heap_keys_.empty() && !Live(heap_meta_.front())) {
+    HeapPopTop();
+    --tombstones_;
   }
 }
 
-void Simulator::MaybeCompactHeap(Lane& lane) {
-  if (lane.tombstones < 64 || lane.tombstones * 2 < lane.heap_keys.size()) {
+void Simulator::MaybeCompactHeap() {
+  if (tombstones_ < 64 || tombstones_ * 2 < heap_keys_.size()) {
     return;
   }
-  auto& heap_keys = lane.heap_keys;
-  auto& heap_meta = lane.heap_meta;
   size_t out = 0;
-  for (size_t i = 0; i < heap_keys.size(); ++i) {
-    if (Live(lane, heap_meta[i])) {
-      heap_keys[out] = heap_keys[i];
-      heap_meta[out] = heap_meta[i];
+  for (size_t i = 0; i < heap_keys_.size(); ++i) {
+    if (Live(heap_meta_[i])) {
+      heap_keys_[out] = heap_keys_[i];
+      heap_meta_[out] = heap_meta_[i];
       ++out;
     }
   }
-  heap_keys.resize(out);
-  heap_meta.resize(out);
+  heap_keys_.resize(out);
+  heap_meta_.resize(out);
   // Floyd heap construction for the 4-ary layout.
   if (out > 1) {
     for (size_t i = (out - 2) / 4 + 1; i-- > 0;) {
-      HeapSiftDown(lane, i);
+      HeapSiftDown(i);
     }
   }
-  lane.tombstones = 0;
+  tombstones_ = 0;
 }
 
-bool Simulator::StepLane(Lane& lane) {
-  while (!lane.heap_keys.empty()) {
-    const double t = KeyTime(lane.heap_keys.front());
-    const HeapMeta m = lane.heap_meta.front();
-    HeapPopTop(lane);
-    if (!Live(lane, m)) {
-      --lane.tombstones;
+bool Simulator::Step() {
+  while (!heap_keys_.empty()) {
+    const double t = KeyTime(heap_keys_.front());
+    const HeapMeta m = heap_meta_.front();
+    HeapPopTop();
+    if (!Live(m)) {
+      --tombstones_;
       continue;
     }
-    Slot& s = lane.slots[m.slot];
+    Slot& s = slots_[m.slot];
     s.state = SlotState::kExecuting;
     // Run the body from locals: the callback may schedule events that grow
     // the slab (invalidating `s`), cancel its own re-arm, or be the
@@ -418,78 +262,46 @@ bool Simulator::StepLane(Lane& lane) {
     if (desc.comp < 0) {
       fn = std::move(s.fn);
     }
-    Lane& ctrl = lanes_.front();
-    ctrl.now = SimTime(t);
-    lane.now = SimTime(t);
+    now_ = SimTime(t);
     ++executed_;
-    --lane.live;
-    // Serial scheduling context: this event's global ordinal, action counter
-    // reset. Deliberately not restored after fn() — top-level code that
-    // schedules between Step() calls continues this event's action stream,
-    // which keeps (rank_hi, rank_lo) strictly increasing in scheduling
-    // order exactly like the single sequence number it replaces.
-    ctrl.ctx_hi = executed_;
-    ctrl.ctx_k = 0;
-    ctrl.ctx_j = 0;
-    ctrl.ctx_replay = false;
-    uint32_t prev_current = lane.current;
-    uint32_t prev_exec_lane = serial_exec_lane_;
-    lane.current = m.slot;
-    serial_exec_lane_ = lane.index;
+    --live_;
+    uint32_t prev_current = current_;
+    current_ = m.slot;
     if (desc.comp >= 0) {
       registry_.Run(desc.comp, desc.kind, desc.payload);
     } else {
       fn();
     }
-    serial_exec_lane_ = prev_exec_lane;
-    lane.current = prev_current;
-    Slot& after = lane.slots[m.slot];
+    current_ = prev_current;
+    Slot& after = slots_[m.slot];
     if (after.state == SlotState::kRearmed) {
       if (desc.comp < 0) {
         after.fn = std::move(fn);  // hand the closure back for the next firing
       }
       after.state = SlotState::kPending;
     } else {
-      RetireSlot(lane, m.slot);
+      RetireSlot(m.slot);
     }
     return true;
   }
   return false;
 }
 
-bool Simulator::Step() {
-  if (scheduler_ != nullptr) {
-    return scheduler_->SerialStepOnce();
-  }
-  return StepLane(lanes_.front());
-}
-
 void Simulator::RunUntil(SimTime deadline) {
-  if (scheduler_ != nullptr) {
-    scheduler_->RunSerialUntil(deadline);
-    return;
-  }
-  Lane& lane = lanes_.front();
   for (;;) {
     // Skip tombstones to see the genuine next event time.
-    PruneStaleTop(lane);
-    if (lane.heap_keys.empty() || SimTime(KeyTime(lane.heap_keys.front())) > deadline) {
+    PruneStaleTop();
+    if (heap_keys_.empty() || SimTime(KeyTime(heap_keys_.front())) > deadline) {
       break;
     }
-    StepLane(lane);
+    Step();
   }
-  if (deadline > lane.now && deadline.is_finite()) {
-    lane.now = deadline;
+  if (deadline > now_ && deadline.is_finite()) {
+    now_ = deadline;
   }
 }
 
 void Simulator::RunUntilIdle(uint64_t max_events) {
-  if (scheduler_ != nullptr) {
-    // Unbudgeted drains go through the windowed loop; budgeted ones stay
-    // serial inside the scheduler so the cut lands on the exact event.
-    scheduler_->RunUntilTrue([] { return false; }, max_events);
-    return;
-  }
   uint64_t n = 0;
   while (n < max_events && Step()) {
     ++n;
@@ -498,9 +310,6 @@ void Simulator::RunUntilIdle(uint64_t max_events) {
 
 bool Simulator::RunUntilTrue(const std::function<bool()>& predicate,
                              uint64_t max_events) {
-  if (scheduler_ != nullptr) {
-    return scheduler_->RunUntilTrue(predicate, max_events);
-  }
   if (predicate()) {
     return true;
   }
@@ -514,40 +323,10 @@ bool Simulator::RunUntilTrue(const std::function<bool()>& predicate,
   return false;
 }
 
-void Simulator::ConfigureShards(const ShardOptions& options) {
-  LAMINAR_CHECK_GE(options.num_shards, 1);
-  LAMINAR_CHECK_LE(options.num_shards, 255);
-  LAMINAR_CHECK(scheduler_ == nullptr) << "shards already configured";
-  LAMINAR_CHECK_EQ(pending_events(), 0u)
-      << "ConfigureShards must run before any event is scheduled";
-  LAMINAR_CHECK_EQ(executed_, 0u);
-  LAMINAR_CHECK(options.lane_lookahead_seconds.empty() ||
-                options.lane_lookahead_seconds.size() ==
-                    static_cast<size_t>(options.num_shards))
-      << "lane_lookahead_seconds must be empty or one entry per shard";
-  lanes_ = std::vector<Lane>(static_cast<size_t>(options.num_shards) + 1);
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    lanes_[i].index = static_cast<uint32_t>(i);
-  }
-  lane_control_enabled_ = options.lane_control;
-  scheduler_ = std::make_unique<ShardScheduler>(this, options);
-}
-
-void Simulator::set_window_time_cap(double seconds) {
-  LAMINAR_CHECK(scheduler_ != nullptr) << "set_window_time_cap requires shards";
-  scheduler_->set_window_time_cap(seconds);
-}
-
-void Simulator::SetLaneLookahead(const std::vector<double>& lane_seconds) {
-  LAMINAR_CHECK(scheduler_ != nullptr) << "SetLaneLookahead requires shards";
-  scheduler_->set_lane_lookahead(lane_seconds);
-}
-
 namespace {
 
-// One canonical event_heap entry: 48 little-endian bytes. Ranks and lane
-// layout are excluded on purpose — both differ between serial and sharded
-// runs at the same barrier while the canonical order does not.
+// One canonical event_heap entry: 48 little-endian bytes. Sequence numbers
+// are excluded on purpose: the entry order carries them.
 void PackHeapEntry(std::string& out, uint64_t key, const ContinuationDesc& d) {
   auto put_le = [&out](uint64_t v, int bytes) {
     for (int i = 0; i < bytes; ++i) {
@@ -578,7 +357,7 @@ uint64_t ReadLe(const std::string& s, size_t pos, int bytes) {
 
 void Simulator::Snapshot(SnapshotTx& tx) {
   tx.Begin("sim");
-  double now_s = lanes_.front().now.seconds();
+  double now_s = now_.seconds();
   uint64_t executed = executed_;
   tx.F64("now", &now_s);
   tx.U64("executed", &executed);
@@ -586,40 +365,33 @@ void Simulator::Snapshot(SnapshotTx& tx) {
     LAMINAR_CHECK_EQ(pending_events(), 0u)
         << "direct-boot adopt into a simulator that already scheduled events";
     executed_ = executed;
-    for (Lane& lane : lanes_) {
-      lane.now = SimTime(now_s);
-    }
+    now_ = SimTime(now_s);
   }
-  // Live entries across all lanes in canonical (time key, rank) order. The
-  // sorted order is identical for serial and sharded runs stopped at the
-  // same barrier even though the rank values themselves differ.
+  // Live entries in canonical (time key, seq) order.
   struct Entry {
     uint64_t key;
-    ShardRank rank;
+    uint64_t seq;
     ContinuationDesc desc;
   };
   std::vector<Entry> entries;
-  size_t live = 0;
+  entries.reserve(live_);
   bool complete = true;
-  for (const Lane& lane : lanes_) {
-    live += lane.live;
-    for (size_t i = 0; i < lane.heap_meta.size(); ++i) {
-      const HeapMeta& m = lane.heap_meta[i];
-      if (!Live(lane, m)) {
-        continue;
-      }
-      const Slot& s = lane.slots[m.slot];
-      entries.push_back(Entry{lane.heap_keys[i], m.rank, s.desc});
-      if (s.desc.comp < 0) {
-        complete = false;
-      }
+  for (size_t i = 0; i < heap_meta_.size(); ++i) {
+    const HeapMeta& m = heap_meta_[i];
+    if (!Live(m)) {
+      continue;
+    }
+    const Slot& s = slots_[m.slot];
+    entries.push_back(Entry{heap_keys_[i], m.seq, s.desc});
+    if (s.desc.comp < 0) {
+      complete = false;
     }
   }
-  LAMINAR_CHECK_EQ(entries.size(), live);
+  LAMINAR_CHECK_EQ(entries.size(), live_);
   std::sort(entries.begin(), entries.end(), [](const Entry& x, const Entry& y) {
-    return KeyRankLess(x.key, x.rank, y.key, y.rank);
+    return x.key < y.key || (x.key == y.key && x.seq < y.seq);
   });
-  uint64_t live_u = static_cast<uint64_t>(live);
+  uint64_t live_u = static_cast<uint64_t>(live_);
   tx.U64("live_events", &live_u);
   bool complete_b = complete;
   tx.Bool("heap_complete", &complete_b);
@@ -650,16 +422,11 @@ void Simulator::Snapshot(SnapshotTx& tx) {
 }
 
 void Simulator::RemintRestoredEvents() {
-  // Canonical-order re-mint: ranks are minted from the restored top-level
-  // context (ctx_hi = executed count, k increasing), so every pairwise
-  // (key, rank) comparison — among restored events, and between restored
-  // and future events — agrees with what a replay-anchored restore leaves
-  // in the heap. See DESIGN.md §13 for the argument.
-  Lane& ctrl = lanes_.front();
-  ctrl.ctx_hi = executed_;
-  ctrl.ctx_k = 0;
-  ctrl.ctx_j = 0;
-  ctrl.ctx_replay = false;
+  // Canonical-order re-mint: each RestoreContinuation schedules through the
+  // ordinary paths, so restored events take consecutive sequence numbers in
+  // blob order and every later schedule sorts after them — exactly the
+  // pairwise (time, seq) comparisons a replay-anchored restore leaves in the
+  // heap. See DESIGN.md §13 for the argument.
   std::vector<RestoredEvent> entries = std::move(restored_);
   restored_.clear();
   for (const RestoredEvent& e : entries) {
@@ -669,104 +436,6 @@ void Simulator::RemintRestoredEvents() {
     registry_.Require(e.desc.comp)
         .RestoreContinuation(e.desc.kind, e.desc.payload, SimTime(KeyTime(e.key)));
   }
-}
-
-void Simulator::set_trace(TraceSink* sink) {
-  trace_ = sink;
-  if (scheduler_ != nullptr) {
-    scheduler_->OnTraceChanged();
-  }
-}
-
-void Simulator::RunOrStage(std::function<void()> fn) {
-  if (window_active_) {
-    if (Lane* wl = MutableTlsLane()) {
-      StageFromWindow(*wl, std::move(fn));
-      return;
-    }
-  }
-  fn();
-}
-
-ShardRank Simulator::NextActionRank(Lane& ctx) {
-  if (ctx.ctx_replay) {
-    // Replayed staged-action body: actions sort at the staging program point,
-    // sub-ordered by j within the staging action's k slot.
-    LAMINAR_CHECK(ctx.ctx_j < kRankJMax) << "replay action sub-index overflow";
-    return MakeRank(ctx.ctx_hi,
-                    ctx.ctx_lo_base |
-                        (static_cast<uint64_t>(++ctx.ctx_j) << kRankJShift));
-  }
-  LAMINAR_CHECK(ctx.ctx_k < kRankKMax) << "per-event action counter overflow";
-  return MakeRank(ctx.ctx_hi, ctx.ctx_k++ << kRankKShift);
-}
-
-void Simulator::StageFromWindow(Lane& lane, std::function<void()> fn) {
-  // Queue rank = the staging event's own heap rank + a, which sorts the
-  // staged action immediately after the staging event and before every event
-  // that serially follows it (event ranks always carry a = 0 and any two
-  // event ranks differ by at least 1 << kRankJShift). The separate
-  // (replay_hi, replay_lo_base) pair seeds the replay context so schedules
-  // performed by the body mint ranks at the staging event's program point.
-  LAMINAR_CHECK(lane.ctx_a < kRankAMax) << "staged action counter overflow";
-  LAMINAR_CHECK(lane.ctx_k < kRankKMax) << "per-event action counter overflow";
-  lane.staged.push_back(StagedAction{
-      TimeKey(lane.now), lane.ctx_event_rank + (++lane.ctx_a), lane.ctx_hi,
-      lane.ctx_k++ << kRankKShift, std::move(fn)});
-}
-
-uint64_t Simulator::shard_windows() const {
-  return scheduler_ != nullptr ? scheduler_->windows() : 0;
-}
-uint64_t Simulator::shard_window_events() const {
-  return scheduler_ != nullptr ? scheduler_->window_events() : 0;
-}
-uint64_t Simulator::shard_serial_steps() const {
-  return scheduler_ != nullptr ? scheduler_->serial_steps() : 0;
-}
-uint64_t Simulator::shard_actions_replayed() const {
-  return scheduler_ != nullptr ? scheduler_->actions_replayed() : 0;
-}
-uint64_t Simulator::shard_rejects_no_floor() const {
-  return scheduler_ != nullptr ? scheduler_->rejects_no_floor() : 0;
-}
-uint64_t Simulator::shard_rejects_narrow() const {
-  return scheduler_ != nullptr ? scheduler_->rejects_narrow() : 0;
-}
-uint64_t Simulator::shard_rejects_few_lanes() const {
-  return scheduler_ != nullptr ? scheduler_->rejects_few_lanes() : 0;
-}
-
-ShardWindowStats Simulator::window_stats() const {
-  return scheduler_ != nullptr ? scheduler_->stats() : ShardWindowStats{};
-}
-
-void Simulator::ExportWindowStats(MetricsRegistry& registry) const {
-  const ShardWindowStats s = window_stats();
-  auto set = [&registry](const char* name, double v) {
-    registry.Gauge(name)->Set(v);
-  };
-  set("sim/window/windows", static_cast<double>(s.windows));
-  set("sim/window/events", static_cast<double>(s.window_events));
-  set("sim/window/serial_steps", static_cast<double>(s.serial_steps));
-  set("sim/window/actions_replayed", static_cast<double>(s.actions_replayed));
-  set("sim/window/rejects_no_floor", static_cast<double>(s.rejects_no_floor));
-  set("sim/window/rejects_narrow", static_cast<double>(s.rejects_narrow));
-  set("sim/window/rejects_few_lanes", static_cast<double>(s.rejects_few_lanes));
-  set("sim/window/bound_fence", static_cast<double>(s.bound_fence));
-  set("sim/window/bound_queue", static_cast<double>(s.bound_queue));
-  set("sim/window/bound_cap", static_cast<double>(s.bound_cap));
-  set("sim/window/bound_lookahead", static_cast<double>(s.bound_lookahead));
-  set("sim/window/bound_lane_control",
-      static_cast<double>(s.bound_lane_control));
-  set("sim/window/fence_stall_rejects",
-      static_cast<double>(s.fence_stall_rejects));
-  set("sim/window/lane_control_events",
-      static_cast<double>(s.lane_control_events));
-  set("sim/window/mean_events_per_window", s.mean_events_per_window());
-  set("sim/window/mean_eligible_lanes", s.mean_eligible_lanes());
-  set("sim/window/serial_fraction", s.serial_fraction());
-  set("sim/window/fence_stall_share", s.fence_stall_share());
 }
 
 PeriodicTask::PeriodicTask(Simulator* sim, double period, std::function<void()> fn)

@@ -5,30 +5,18 @@
 // combined with the deterministic Rng streams (common/rng.h) — makes every
 // run bit-reproducible.
 //
-// Serial internals (DESIGN.md "Simulation engine internals"): event records
-// live in a slab pool indexed by a 24-bit slot with a 32-bit generation tag
-// packed into the EventId, so Cancel()/IsPending() are O(1) array probes with
-// no hashing. Cancellation is lazy — the heap entry stays behind as a
-// tombstone that Step() skips when popped, and the heap is compacted when
-// tombstones outnumber live entries.
-//
-// Sharded execution (DESIGN.md §12): ConfigureShards() partitions the event
-// queue into lanes — lane 0 holds control-plane ("fence") events, lanes 1..S
-// hold replica-affine events routed by ScheduleAtOn()/ScheduleAfterOn(). A
-// ShardScheduler (sim/shard_exec.h) then executes lane events in conservative
-// windows bounded by the next fence key, staging cross-shard effects for a
-// deterministic (time, rank) merge at window barriers. Event ordering is
-// governed by a hierarchical rank — (ordinal of the scheduling context,
-// intra-context action index) — that reproduces the serial scheduling-order
-// tiebreak bit-for-bit, so a sharded run emits byte-identical reports,
-// ledgers, and traces. Without ConfigureShards() the engine is exactly the
-// single-lane serial design described above.
+// Internals (DESIGN.md "Simulation engine internals"): event records live in
+// a slab pool indexed by a 32-bit slot with a 32-bit generation tag packed
+// into the EventId, so Cancel()/IsPending() are O(1) array probes with no
+// hashing. The heap is ordered by (time, seq), where seq is one counter
+// bumped by every schedule, re-arm and restore re-mint. Cancellation is lazy
+// — the heap entry stays behind as a tombstone that Step() skips when popped,
+// and the heap is compacted when tombstones outnumber live entries.
 #ifndef LAMINAR_SRC_SIM_SIMULATOR_H_
 #define LAMINAR_SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -37,212 +25,26 @@
 namespace laminar {
 
 class TraceSink;
-class ShardScheduler;
-class LaneStagingSink;
 class SnapshotTx;
 
-// Packed (generation << 32) | (lane << 24) | pool slot. Generations start at
-// 1, so a valid id is never 0. Lane 0 is the control lane; serial simulators
-// only ever mint lane-0 ids, keeping the packing identical to the historical
-// (generation << 32) | slot layout.
+// Packed (generation << 32) | pool slot. Generations start at 1, so a valid
+// id is never 0.
 using EventId = uint64_t;
 constexpr EventId kInvalidEventId = 0;
 
-// Event-ordering rank: (rank_hi << 64) | rank_lo.
-//   rank_hi — global execution ordinal of the scheduling context (the event
-//             whose callback performed the schedule; the count of events
-//             executed so far for top-level code). During a shard window it
-//             temporarily carries kTempRankBit | lane-local execution index
-//             and is resolved to a final ordinal at the window barrier.
-//   rank_lo — three sub-fields, (k << 28) | (j << 12) | a:
-//             k — action counter of the scheduling context; every schedule
-//                 and every staged action (effect, trace emission) consumes
-//                 one k in program order.
-//             j — replay sub-index: actions performed while replaying a
-//                 staged action take j = 1, 2, ... under the staging k, so
-//                 they sort exactly at the staging point — after earlier
-//                 sibling actions, before later ones — as if run inline.
-//             a — staged-action queue index: a staged action's replay-queue
-//                 rank is its staging *event's own rank* plus a = 1, 2, ...,
-//                 placing the replay immediately after the staging event and
-//                 before every event that serially follows it. Event ranks
-//                 always carry a = 0, and distinct event ranks differ by at
-//                 least 1 << 12, so the offset can never collide.
-// Lexicographic (time, rank) comparisons reproduce the serial engine's
-// scheduling-order tiebreak exactly: rank values may differ between serial
-// and sharded runs, but every comparison agrees, so observable behaviour is
-// identical.
-//
-// Stored as an explicit (hi, lo) pair rather than unsigned __int128: the
-// pair packs heap metadata to 24 bytes (16-byte __int128 alignment forced
-// 32) and compares with two 64-bit instructions instead of a 128-bit
-// carry chain.
-struct ShardRank {
-  uint64_t hi = 0;
-  uint64_t lo = 0;
-
-  friend constexpr bool operator<(const ShardRank& x, const ShardRank& y) {
-    return x.hi < y.hi || (x.hi == y.hi && x.lo < y.lo);
-  }
-  friend constexpr bool operator==(const ShardRank& x, const ShardRank& y) {
-    return x.hi == y.hi && x.lo == y.lo;
-  }
-  // Staged-action queue offset: event ranks always carry a zero `a`
-  // sub-field, so adding the small staged-action index never carries out of
-  // rank_lo.
-  friend constexpr ShardRank operator+(const ShardRank& x, uint64_t a) {
-    return ShardRank{x.hi, x.lo + a};
-  }
-};
-
-// Options for ConfigureShards().
-struct ShardOptions {
-  // Number of replica lanes; lanes 1..num_shards accept affine events via
-  // ScheduleAtOn()/ScheduleAfterOn(). Must be >= 1; 1 keeps the engine
-  // effectively serial but still exercises the window machinery.
-  int num_shards = 1;
-  // Worker threads for window execution. 0 = the coordinator executes lanes
-  // itself (no thread handoff — right for single-core hosts); -1 = derive
-  // from the process-wide ThreadBudget (common/thread_budget.h), which shares
-  // cores with the sweep runner's run-level parallelism.
-  int num_workers = -1;
-  // Cross-shard lookahead horizon (the alpha of the cluster's alpha-beta
-  // network model): a window-context schedule targeting another lane must
-  // land at least this far past the scheduling clock. Enforced by assert.
-  double lookahead_seconds = 0.0;
-  // Topology-derived per-lane lookahead (DESIGN.md §12): entry i is the
-  // horizon for replica lane i+1, derived from the decode-step times and
-  // link alpha-beta latencies of the machines mapped onto that lane. When
-  // non-empty it must have num_shards entries and replaces
-  // lookahead_seconds in the window-bound computation (each lane's head
-  // contributes head + lane_lookahead[i] as a bound candidate);
-  // lookahead_seconds remains the validation floor for lanes past the
-  // vector's end.
-  std::vector<double> lane_lookahead_seconds;
-  // Lane-riding control traffic (DESIGN.md §12): when true, control events
-  // classified as lane-local (relay pull completions, machine stall thaws)
-  // scheduled via ScheduleLaneControlAfter() ride their affine replica lane
-  // instead of fencing every window on lane 0. They never execute inside a
-  // window — the window executor halts the lane at them and they run with
-  // full serial semantics at the next serial step — so results stay
-  // byte-identical; only window width changes. false routes every such
-  // event to the control lane (PR 6 behaviour, the fuzzer's differential
-  // twin).
-  bool lane_control = true;
-  // Horizon-collapse threshold: when the gap between the earliest eligible
-  // lane event and the window bound is below this, fall back to serial
-  // stepping instead of opening a window.
-  double min_window_seconds = 0.0;
-  // Open a window only when at least this many lanes have eligible events;
-  // otherwise take the serial slab-heap path.
-  int min_parallel_lanes = 1;
-};
-
-// Deterministic window-quality counters (DESIGN.md §12). Everything here is
-// a function of the window-formation decisions alone — worker count and
-// thread scheduling never enter — so the struct is byte-identical across
-// worker counts at a fixed shard count, and all-zero for an unsharded run.
-// Deliberately excluded from reports, traces, and snapshots: the values
-// legitimately differ between serial and sharded runs of the same scenario,
-// so folding them into any fingerprinted surface would break the
-// byte-identity gates. Export is opt-in (Simulator::ExportWindowStats,
-// bench --window-stats).
-struct ShardWindowStats {
-  uint64_t windows = 0;         // windows opened
-  uint64_t window_events = 0;   // events executed inside windows
-  uint64_t serial_steps = 0;    // serial fallback steps
-  uint64_t actions_replayed = 0;
-  // Why a window did not open.
-  uint64_t rejects_no_floor = 0;
-  uint64_t rejects_narrow = 0;
-  uint64_t rejects_few_lanes = 0;
-  // Which candidate set the bound of each opened window.
-  uint64_t bound_fence = 0;       // control-lane head (fence stall)
-  uint64_t bound_queue = 0;       // staged-action queue head
-  uint64_t bound_cap = 0;         // run time cap
-  uint64_t bound_lookahead = 0;   // some lane's head + its lookahead
-  uint64_t bound_lane_control = 0;  // a lane-anchored control event's horizon
-  // Rejects where the control-lane fence (not the lookahead horizon) was
-  // the binding candidate: the fence-stall attribution for windows that
-  // never opened.
-  uint64_t fence_stall_rejects = 0;
-  // Sum of eligible lanes over opened windows (occupancy numerator).
-  uint64_t eligible_lane_sum = 0;
-  // Classified control events that rode a replica lane off the fence.
-  uint64_t lane_control_events = 0;
-
-  double mean_events_per_window() const {
-    return windows == 0 ? 0.0
-                        : static_cast<double>(window_events) /
-                              static_cast<double>(windows);
-  }
-  double mean_eligible_lanes() const {
-    return windows == 0 ? 0.0
-                        : static_cast<double>(eligible_lane_sum) /
-                              static_cast<double>(windows);
-  }
-  // Fraction of executed events that took the serial path. 1.0 when nothing
-  // ever ran in a window — in particular for any unsharded (shards=1) run.
-  double serial_fraction() const {
-    uint64_t total = serial_steps + window_events;
-    return total == 0 ? 1.0
-                      : static_cast<double>(serial_steps) /
-                            static_cast<double>(total);
-  }
-  // Share of window-formation attempts (opened or rejected) where the
-  // control-lane fence was the binding candidate: opened windows whose bound
-  // was the fence, plus rejects the fence caused. Counting only opened
-  // windows would under-attribute — the fence hurts most where it keeps a
-  // window from opening at all.
-  double fence_stall_share() const {
-    uint64_t attempts =
-        windows + rejects_no_floor + rejects_narrow + rejects_few_lanes;
-    return attempts == 0
-               ? 0.0
-               : static_cast<double>(bound_fence + fence_stall_rejects) /
-                     static_cast<double>(attempts);
-  }
-};
-
-class MetricsRegistry;
-
 class Simulator {
  public:
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // The current clock: the executing lane's clock inside a shard window, the
-  // serial/control clock (lane 0) otherwise.
-  SimTime Now() const {
-    if (window_active_) {
-      if (const Lane* lane = TlsLane()) {
-        return lane->now;
-      }
-    }
-    return lanes_.front().now;
-  }
+  SimTime Now() const { return now_; }
 
   // Schedules `fn` to run at absolute time `t` (>= Now()). Returns an id that
-  // can be passed to Cancel() until the event fires. Targets the scheduling
-  // context's own lane inside a shard window, the control lane otherwise.
+  // can be passed to Cancel() until the event fires.
   EventId ScheduleAt(SimTime t, std::function<void()> fn);
-  // Schedules `fn` after `delay` seconds (>= 0). The key is always computed
-  // against the scheduling context's shard-local clock — never a stale global
-  // clock — so a cross-shard callback can never produce a timestamp below the
-  // window floor it was staged under.
+  // Schedules `fn` after `delay` seconds (>= 0).
   EventId ScheduleAfter(double delay, std::function<void()> fn);
-
-  // Shard-affine scheduling: `shard` 0 targets the control lane, 1..S a
-  // replica lane. Identical to ScheduleAt()/ScheduleAfter() when sharding is
-  // not configured (any shard value collapses to the single serial lane).
-  // Scheduling onto a foreign lane from inside a shard window stages the
-  // schedule for the window barrier and returns kInvalidEventId (the event
-  // cannot be cancelled before it materializes); such schedules must respect
-  // the lookahead horizon.
-  EventId ScheduleAtOn(int shard, SimTime t, std::function<void()> fn);
-  EventId ScheduleAfterOn(int shard, double delay, std::function<void()> fn);
 
   // Data-only scheduling (DESIGN.md §13): instead of a closure the event
   // stores a (component, kind, payload) descriptor dispatched through the
@@ -253,37 +55,6 @@ class Simulator {
                                  const ContinuationPayload& payload = {});
   EventId ScheduleContinuationAfter(double delay, int32_t comp, uint16_t kind,
                                     const ContinuationPayload& payload = {});
-  EventId ScheduleContinuationAtOn(int shard, SimTime t, int32_t comp,
-                                   uint16_t kind,
-                                   const ContinuationPayload& payload = {});
-  EventId ScheduleContinuationAfterOn(int shard, double delay, int32_t comp,
-                                      uint16_t kind,
-                                      const ContinuationPayload& payload = {});
-
-  // Lane-riding control traffic (DESIGN.md §12): schedules a control event
-  // whose effects are provably local to one replica lane (plus
-  // control-plane state no window event ever reads) onto that lane instead
-  // of the fence. The event never executes inside a window — the window
-  // executor halts its lane at it and the serial loop runs it with full
-  // serial semantics in global (time, rank) order — so behaviour is
-  // byte-identical to fencing it; windows just stop paying for it. Falls
-  // back to the control lane when sharding is off, lane control is
-  // disabled, or `shard` is out of range.
-  EventId ScheduleLaneControlAfter(int shard, double delay, int32_t comp,
-                                   uint16_t kind,
-                                   const ContinuationPayload& payload = {});
-  EventId ScheduleLaneControlAt(int shard, SimTime t, int32_t comp,
-                                uint16_t kind,
-                                const ContinuationPayload& payload = {});
-
-  // The canonical machine -> lane affinity map shared by the driver (replica
-  // placement) and the control-traffic classifiers (relay pulls, stall
-  // thaws): machine m rides lane 1 + m % num_shards. 0 (the control lane)
-  // when sharding is not configured.
-  int AffinityShard(int machine) const {
-    int shards = num_shards();
-    return shards > 0 && sharded() ? 1 + machine % shards : 0;
-  }
 
   // Components register their continuation dispatch here (at construction /
   // Setup, before any descriptor event fires or is restored).
@@ -297,164 +68,69 @@ class Simulator {
   EventId RearmCurrentAfter(double delay);
 
   // Cancels a pending event. Returns true if the event was still pending.
-  // Inside a shard window only own-lane events may be cancelled.
   bool Cancel(EventId id);
   bool IsPending(EventId id) const {
-    uint32_t li = LaneOf(id);
-    if (li >= lanes_.size()) {
-      return false;
-    }
-    const Lane& lane = lanes_[li];
     uint32_t slot = SlotOf(id);
-    if (slot >= lane.slots.size()) {
+    if (slot >= slots_.size()) {
       return false;
     }
-    const Slot& s = lane.slots[slot];
+    const Slot& s = slots_[slot];
     return s.generation == GenerationOf(id) &&
            (s.state == SlotState::kPending || s.state == SlotState::kRearmed);
   }
 
   // Executes the next pending event, advancing the clock. Returns false if
-  // the queue is empty. With shards configured this is a serial step over the
-  // union of lanes (plus any staged actions that come due first).
+  // the queue is empty.
   bool Step();
 
   // Runs events until the clock would pass `deadline`; the clock finishes at
-  // exactly `deadline` (events at later times remain pending). Serial even
-  // with shards configured.
+  // exactly `deadline` (events at later times remain pending).
   void RunUntil(SimTime deadline);
 
   // Runs until no events remain or `max_events` have executed.
   void RunUntilIdle(uint64_t max_events = UINT64_MAX);
 
-  // Runs until `predicate()` returns true (checked after every serially
-  // executed event and after every window barrier) or the queue drains.
-  // Returns true if the predicate was satisfied. With shards configured the
-  // predicate must only change state in control-lane events or staged
-  // effects — true for the driver's iteration/deadline predicate.
+  // Runs until `predicate()` returns true (checked before the first event
+  // and after every executed event) or the queue drains. Returns true if the
+  // predicate was satisfied.
   bool RunUntilTrue(const std::function<bool()>& predicate,
                     uint64_t max_events = UINT64_MAX);
 
-  // Partitions the queue into `options.num_shards` replica lanes plus the
-  // control lane and installs the window scheduler. Must be called before any
-  // event is scheduled. See ShardOptions.
-  void ConfigureShards(const ShardOptions& options);
-  bool sharded() const { return scheduler_ != nullptr; }
-  int num_shards() const { return static_cast<int>(lanes_.size()) - (sharded() ? 1 : 0); }
-  // Events with time strictly greater than `seconds` never execute inside a
-  // window — they take the serial path, so a run predicate that stops on a
-  // time cap stops at exactly the same event as a serial run.
-  void set_window_time_cap(double seconds);
-  // Installs topology-derived per-lane lookahead horizons after the fleet is
-  // built (ConfigureShards runs before replicas exist, so lane->machine
-  // composition is unknown then). `lane_seconds` must hold one entry per
-  // replica lane. No-op requirement: must be called before the first window
-  // opens. CHECK-fails when unsharded.
-  void SetLaneLookahead(const std::vector<double>& lane_seconds);
-
-  // True while the calling thread is executing a replica-lane event inside a
-  // shard window (staging context).
-  bool InShardWindow() const { return window_active_ && TlsLane() != nullptr; }
-
-  // Runs `fn` immediately in a serial context; inside a shard window, stages
-  // it to run at the window barrier merge point instead, keyed by the staging
-  // event's (time, rank) so the replay order is exactly the serial inline
-  // order. Used to defer zero-latency cross-shard callbacks (completion,
-  // progress, batch-done) whose bodies touch global state.
-  void RunOrStage(std::function<void()> fn);
-
-  size_t pending_events() const {
-    size_t n = 0;
-    for (const Lane& lane : lanes_) {
-      n += lane.live;
-    }
-    return n;
-  }
+  size_t pending_events() const { return live_; }
   uint64_t executed_events() const { return executed_; }
 
   // Structured tracing (src/trace). Null when tracing is disabled — the
   // emission macros test this pointer and do nothing else, so instrumented
   // code costs one predictable branch per site in ordinary runs. The sink is
   // owned by the driver; the simulator only hands it to instrumented code.
-  // Inside a shard window the lane's staging sink is returned instead, which
-  // defers emissions to the window barrier in serial order.
-  TraceSink* trace() const {
-    if (trace_ == nullptr) {
-      return nullptr;  // disabled: macros skip, no staging either
-    }
-    if (window_active_) {
-      if (const Lane* lane = TlsLane()) {
-        return lane->staging_sink;
-      }
-    }
-    return trace_;
-  }
-  void set_trace(TraceSink* sink);
+  TraceSink* trace() const { return trace_; }
+  void set_trace(TraceSink* sink) { trace_ = sink; }
 
   // Introspection for tests and benches: slab slots ever allocated (bounded
   // by the peak number of simultaneously pending events, not by churn) and
-  // heap entries including tombstones awaiting compaction. Both sum over
-  // lanes.
-  size_t event_pool_slots() const {
-    size_t n = 0;
-    for (const Lane& lane : lanes_) {
-      n += lane.slots.size();
-    }
-    return n;
-  }
-  size_t heap_entries() const {
-    size_t n = 0;
-    for (const Lane& lane : lanes_) {
-      n += lane.heap_keys.size();
-    }
-    return n;
-  }
+  // heap entries including tombstones awaiting compaction.
+  size_t event_pool_slots() const { return slots_.size(); }
+  size_t heap_entries() const { return heap_keys_.size(); }
 
   // Engine snapshot (src/snapshot, DESIGN.md §13): the clock, the
   // executed-event count, and the live event heap serialized in canonical
-  // (time, rank) order as (time_key, component, kind, payload) entries.
-  // Rank values, per-lane layout, and slot generations are deliberately
-  // excluded — they legitimately differ between serial and sharded runs at
-  // the same barrier, while the canonical entry list is byte-identical. In
-  // adopt mode the clock and executed count are seated on every lane and
-  // the entries are stashed; the driver calls RemintRestoredEvents() after
-  // the full component adoption walk so RestoreContinuation implementations
-  // see fully-adopted component state.
+  // (time, seq) order as (time_key, component, kind, payload) entries.
+  // Sequence numbers and slot generations are deliberately excluded — the
+  // order carries everything a restore needs. In adopt mode the clock and
+  // executed count are seated and the entries are stashed; the driver calls
+  // RemintRestoredEvents() after the full component adoption walk so
+  // RestoreContinuation implementations see fully-adopted component state.
   void Snapshot(SnapshotTx& tx);
 
   // Re-schedules every stashed snapshot entry through the continuation
-  // registry, minting ranks in canonical order from the restored top-level
-  // context — which reproduces exactly the (key, rank) comparisons a
-  // replay-anchored restore would have left in the heap. CHECK-fails if the
-  // blob contained a non-reconstructible (closure) event.
+  // registry in canonical order, so each takes a fresh sequence number in
+  // the order the blob lists them — which reproduces exactly the
+  // (time, seq) comparisons a replay-anchored restore would have left in
+  // the heap. CHECK-fails if the blob contained a non-reconstructible
+  // (closure) event.
   void RemintRestoredEvents();
-  size_t restored_events_pending() const { return restored_.size(); }
-
-  // Shard-execution counters (zero when unsharded): windows opened, events
-  // executed inside windows, serial fallback steps taken by the window loop,
-  // and staged actions (effects, traces, cross-lane schedules) replayed.
-  uint64_t shard_windows() const;
-  uint64_t shard_window_events() const;
-  uint64_t shard_serial_steps() const;
-  uint64_t shard_actions_replayed() const;
-  uint64_t shard_rejects_no_floor() const;
-  uint64_t shard_rejects_narrow() const;
-  uint64_t shard_rejects_few_lanes() const;
-
-  // Window-quality profile (DESIGN.md §12): the full deterministic counter
-  // set, all-zero when unsharded (serial_fraction() then reads 1.0 by
-  // convention). Never enters reports, traces, or snapshots — see
-  // ShardWindowStats.
-  ShardWindowStats window_stats() const;
-  // Opt-in export into a caller-owned registry (gauges under
-  // "sim/window/..."). The caller must not snapshot that registry into an
-  // LMSNAP1 blob: the values differ between serial and sharded runs.
-  void ExportWindowStats(MetricsRegistry& registry) const;
 
  private:
-  friend class ShardScheduler;
-  friend class LaneStagingSink;
-
   enum class SlotState : uint8_t {
     kFree,       // on the free list
     kPending,    // scheduled, heap entry live
@@ -467,10 +143,6 @@ class Simulator {
     ContinuationDesc desc;  // comp >= 0: data-only event, fn unused
     uint32_t generation = 1;
     SlotState state = SlotState::kFree;
-    // Lane-anchored control event (ScheduleLaneControlAt): rides a replica
-    // lane but never executes inside a window — the window executor halts
-    // the lane at it and the serial loop runs it in global order.
-    bool lane_control = false;
   };
 
   // One live heap entry read back from a snapshot, awaiting re-mint.
@@ -479,172 +151,79 @@ class Simulator {
     ContinuationDesc desc;
   };
 
-  // The heap is stored as parallel arrays (struct-of-arrays): heap_keys
+  // The heap is stored as parallel arrays (struct-of-arrays): heap_keys_
   // holds just the timestamps the sift comparisons read — eight entries per
-  // cache line — while heap_meta carries the payload moved alongside.
+  // cache line — while heap_meta_ carries the payload moved alongside.
   // Timestamps are stored bit-cast to uint64: non-negative IEEE-754 doubles
   // order identically to their bit patterns, and integer compares let the
   // sift loops run on conditional moves instead of mispredicted branches.
-  // 24 bytes: the (hi, lo) rank pair plus slot and generation.
+  // `seq` breaks timestamp ties in scheduling order.
   struct HeapMeta {
-    ShardRank rank;
+    uint64_t seq;
     uint32_t slot;
     uint32_t generation;
   };
-  static_assert(sizeof(HeapMeta) == 24, "heap metadata should stay 3 words");
-
-  // One executed window event: its heap key and (possibly temporary) rank,
-  // recorded in lane execution order for the barrier's ordinal merge.
-  struct ExecRecord {
-    uint64_t key;
-    ShardRank rank;
-  };
-
-  // A deferred action staged during window execution: an effect body, a
-  // trace emission, or a cross-lane schedule. Replayed serially in
-  // (key, rank) order once the window loop's clock reaches it. `rank` (the
-  // staging event's rank + a) orders the replay among events and other
-  // actions; (replay_hi, replay_lo_base) — the staging event's execution
-  // ordinal and the staging k — seed the replay context so actions the body
-  // performs mint ranks in the j sub-space of the staging point.
-  struct StagedAction {
-    uint64_t key;
-    ShardRank rank;
-    uint64_t replay_hi;
-    uint64_t replay_lo_base;
-    std::function<void()> fn;
-  };
-
-  // One event partition with its own clock, slab, heap, and scheduling
-  // context. Lane 0 is the control lane driven by the serial loop; lanes
-  // 1..S execute inside shard windows. During a window each lane is touched
-  // by exactly one thread.
-  struct Lane {
-    SimTime now = SimTime::Zero();
-    uint32_t index = 0;
-    uint32_t current = kNoCurrent;
-    // Scheduling context: rank_hi of the running context, the action counter
-    // k, the staged-action counter a plus the executing event's own rank
-    // (window execution only), and — in staged-action replay — the fixed
-    // rank_lo base plus the sub-index j.
-    uint64_t ctx_hi = 0;
-    uint64_t ctx_lo_base = 0;
-    uint64_t ctx_k = 0;
-    uint32_t ctx_j = 0;
-    uint32_t ctx_a = 0;
-    ShardRank ctx_event_rank;
-    bool ctx_replay = false;
-    size_t live = 0;        // pending + rearmed events
-    size_t tombstones = 0;  // stale entries still in the heap
-    std::vector<uint64_t> heap_keys;
-    std::vector<HeapMeta> heap_meta;
-    std::vector<Slot> slots;
-    std::vector<uint32_t> free_slots;
-    // Window-execution state (ShardScheduler only).
-    std::vector<ExecRecord> exec_log;
-    std::vector<StagedAction> staged;
-    TraceSink* staging_sink = nullptr;  // owned by the ShardScheduler
-  };
+  static_assert(sizeof(HeapMeta) == 16, "heap metadata should stay 2 words");
 
   static constexpr uint32_t kNoCurrent = UINT32_MAX;
-  static constexpr int kLaneShift = 24;
-  static constexpr uint32_t kSlotMask = (1u << kLaneShift) - 1;
-  static constexpr uint64_t kTempRankBit = 1ull << 63;
-  // rank_lo sub-fields: (k << 28) | (j << 12) | a. k counts actions of the
-  // running context, j counts actions performed while replaying a staged
-  // action (they sort at the staging program point), a counts staged actions
-  // of one event (queue rank = the event's own rank + a, placing replay
-  // immediately after the event and before anything serially later).
-  static constexpr int kRankKShift = 28;
-  static constexpr int kRankJShift = 12;
-  static constexpr uint64_t kRankKMax = (1ull << 36) - 1;
-  static constexpr uint64_t kRankJMax = (1ull << 16) - 1;
-  static constexpr uint64_t kRankAMax = (1ull << 12) - 1;
 
-  static uint32_t SlotOf(EventId id) { return static_cast<uint32_t>(id) & kSlotMask; }
-  static uint32_t LaneOf(EventId id) {
-    return (static_cast<uint32_t>(id) >> kLaneShift) & 0xFF;
-  }
+  static uint32_t SlotOf(EventId id) { return static_cast<uint32_t>(id); }
   static uint32_t GenerationOf(EventId id) { return static_cast<uint32_t>(id >> 32); }
-  static EventId Pack(uint32_t lane, uint32_t slot, uint32_t generation) {
-    return (static_cast<uint64_t>(generation) << 32) |
-           (static_cast<uint64_t>(lane) << kLaneShift) | slot;
-  }
-  static ShardRank MakeRank(uint64_t hi, uint64_t lo) { return ShardRank{hi, lo}; }
-  static uint64_t RankHi(ShardRank r) { return r.hi; }
-  static uint64_t RankLo(ShardRank r) { return r.lo; }
-
-  // Window-thread context, set by the ShardScheduler around lane execution.
-  static thread_local const Simulator* tls_owner_;
-  static thread_local Lane* tls_lane_;
-
-  // The executing window lane when called from a window thread of this
-  // simulator, else null. The owner check keeps concurrent sweeps safe: a
-  // sweep thread may run one simulator's window while other simulators on
-  // the same thread stack are serial.
-  const Lane* TlsLane() const {
-    return (window_active_ && tls_owner_ == this) ? tls_lane_ : nullptr;
-  }
-  Lane* MutableTlsLane() {
-    return (window_active_ && tls_owner_ == this) ? tls_lane_ : nullptr;
-  }
-  // The lane governing the calling context: the window lane on a window
-  // thread, the control lane otherwise.
-  Lane& CtxLane() {
-    Lane* lane = MutableTlsLane();
-    return lane != nullptr ? *lane : lanes_.front();
+  static EventId Pack(uint32_t slot, uint32_t generation) {
+    return (static_cast<uint64_t>(generation) << 32) | slot;
   }
 
   static uint64_t TimeKey(SimTime t);
   static double KeyTime(uint64_t key);
-  static bool KeyRankLess(uint64_t k1, ShardRank r1, uint64_t k2, ShardRank r2) {
-    return k1 < k2 || (k1 == k2 && r1 < r2);
+  // Heap order is (time key, seq). Both comparisons read heap_meta_ only on
+  // a time tie, so the sift loops stay on the key array.
+  bool EntryBefore(size_t a, size_t b) const {
+    return heap_keys_[a] < heap_keys_[b] ||
+           (heap_keys_[a] == heap_keys_[b] && heap_meta_[a].seq < heap_meta_[b].seq);
   }
-
-  // Consumes the next action rank of the current scheduling context.
-  ShardRank NextActionRank(Lane& ctx);
+  // The entry (k, seq) held outside the arrays sorts before entry j.
+  bool HeldBefore(uint64_t k, uint64_t seq, size_t j) const {
+    return k < heap_keys_[j] || (k == heap_keys_[j] && seq < heap_meta_[j].seq);
+  }
 
   // A heap entry is live iff its (slot, generation) still names a scheduled
   // event; anything else is a tombstone left behind by Cancel(). kRearmed
   // counts: its heap entry is the future firing, and compaction must keep it
   // even while the current callback is still on the stack.
-  static bool Live(const Lane& lane, const HeapMeta& m) {
-    const Slot& s = lane.slots[m.slot];
+  bool Live(const HeapMeta& m) const {
+    const Slot& s = slots_[m.slot];
     return s.generation == m.generation &&
            (s.state == SlotState::kPending || s.state == SlotState::kRearmed);
   }
 
-  EventId ScheduleOnLane(uint32_t lane_idx, SimTime t, std::function<void()> fn);
-  EventId ScheduleDescOnLane(uint32_t lane_idx, SimTime t,
-                             const ContinuationDesc& desc,
-                             bool lane_control = false);
-  void StageFromWindow(Lane& lane, std::function<void()> fn);
-
-  static uint32_t AllocSlot(Lane& lane);
-  static void RetireSlot(Lane& lane, uint32_t slot);
-  static void PushHeap(Lane& lane, SimTime t, uint32_t slot, uint32_t generation,
-                       ShardRank rank);
+  // Claims a pending slot for an event at `t` and pushes its heap entry
+  // under the next sequence number; the caller fills in the closure or
+  // descriptor.
+  uint32_t ScheduleSlot(SimTime t);
+  uint32_t AllocSlot();
+  void RetireSlot(uint32_t slot);
+  void PushHeap(SimTime t, uint32_t slot, uint32_t generation);
   // 4-ary min-heap primitives (shallower than a binary heap, so pushes/pops
   // touch fewer cache lines).
-  static void HeapSiftUp(Lane& lane, size_t i);
-  static void HeapSiftDown(Lane& lane, size_t i);
-  static void HeapPopTop(Lane& lane);
+  void HeapSiftUp(size_t i);
+  void HeapSiftDown(size_t i);
+  void HeapPopTop();
   // Pops tombstones off the heap top so heap front is a live event.
-  static void PruneStaleTop(Lane& lane);
+  void PruneStaleTop();
   // Rebuilds the heap without tombstones once they dominate it.
-  static void MaybeCompactHeap(Lane& lane);
+  void MaybeCompactHeap();
 
-  // Executes lane's top event with serial semantics (global ordinal, effects
-  // inline). The caller must have pruned stale tops.
-  bool StepLane(Lane& lane);
-
-  TraceSink* trace_ = nullptr;
+  SimTime now_ = SimTime::Zero();
+  uint32_t current_ = kNoCurrent;  // slot whose callback is running
+  uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
-  bool window_active_ = false;   // set only around window execution
-  bool lane_control_enabled_ = false;  // ShardOptions::lane_control && sharded
-  uint32_t serial_exec_lane_ = 0;  // lane whose event a serial step is running
-  std::vector<Lane> lanes_;
-  std::unique_ptr<ShardScheduler> scheduler_;
+  size_t live_ = 0;        // pending + rearmed events
+  size_t tombstones_ = 0;  // stale entries still in the heap
+  std::vector<uint64_t> heap_keys_;
+  std::vector<HeapMeta> heap_meta_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  TraceSink* trace_ = nullptr;
   ContinuationRegistry registry_;
   std::vector<RestoredEvent> restored_;  // adopt-mode stash, see Snapshot()
 };

@@ -11,7 +11,7 @@
 // Everything here is deterministic: iteration order is the caller's
 // responsibility (serialize in a canonical or behavior-defining order) and
 // doubles travel bit-cast, so the round trip is exact and blobs are
-// byte-stable across serial/sharded runs.
+// byte-stable across reruns.
 #ifndef LAMINAR_SNAPSHOT_SNAPSHOT_CODEC_H_
 #define LAMINAR_SNAPSHOT_SNAPSHOT_CODEC_H_
 

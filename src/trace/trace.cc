@@ -79,10 +79,6 @@ TraceSink::TraceSink(const Simulator* sim, const TraceConfig& config)
   LAMINAR_CHECK(sim_ != nullptr);
 }
 
-TraceSink::TraceSink(const Simulator* sim) : sim_(sim) {
-  LAMINAR_CHECK(sim_ != nullptr);
-}
-
 void TraceSink::Span(TraceComponent component, const char* name, int32_t entity,
                      SimTime begin, SimTime end, int64_t arg, double value) {
   TraceEvent e;

@@ -111,23 +111,16 @@ struct TraceConfig {
 // Timestamps come from the simulator clock; spans are recorded complete
 // (begin handed in by the caller, end = Now), which sidesteps begin/end
 // matching and costs one event per span.
-//
-// The emission entry points are virtual so the sharded executor can hand
-// instrumented code a staging sink (sim/shard_exec.h) that defers emissions
-// to the window barrier; name interning then still happens in serial
-// first-use order, keeping trace files byte-identical to serial runs.
 class TraceSink {
  public:
   TraceSink(const Simulator* sim, const TraceConfig& config);
-  virtual ~TraceSink() = default;
 
-  virtual void Span(TraceComponent component, const char* name, int32_t entity,
-                    SimTime begin, SimTime end, int64_t arg = 0,
-                    double value = 0.0);
-  virtual void Instant(TraceComponent component, const char* name,
-                       int32_t entity, int64_t arg = 0, double value = 0.0);
-  virtual void Counter(TraceComponent component, const char* name,
-                       int32_t entity, double value);
+  void Span(TraceComponent component, const char* name, int32_t entity,
+            SimTime begin, SimTime end, int64_t arg = 0, double value = 0.0);
+  void Instant(TraceComponent component, const char* name, int32_t entity,
+               int64_t arg = 0, double value = 0.0);
+  void Counter(TraceComponent component, const char* name, int32_t entity,
+               double value);
 
   const TraceBuffer& buffer() const { return *buffer_; }
   std::shared_ptr<const TraceBuffer> shared_buffer() const { return buffer_; }
@@ -135,10 +128,6 @@ class TraceSink {
   // trace section straight into the live buffer so post-restore emissions
   // append to the restored prefix with the same interned-name ids.
   TraceBuffer* mutable_buffer() { return buffer_.get(); }
-
- protected:
-  // Bufferless base for forwarding/staging sinks.
-  explicit TraceSink(const Simulator* sim);
 
  private:
   const Simulator* sim_;

@@ -23,19 +23,9 @@ struct BatchLayout {
   int clean = -1;
   int sync_twin = -1;
   int repack_off = -1;
-  int shard_twin = -1;
-  int lane_control_off = -1;
 };
 
-// shard_twin_shards > 0 adds a twin of the primary with the shard count
-// flipped (serial primaries get a sharded twin and vice versa);
-// lane_twin_shards > 0 adds a sharded twin with control-event lane
-// classification forced off. Both oracles demand full fingerprint identity.
-// ScenarioFingerprints passes 0 for both so the committed golden file's
-// batch layout is unchanged.
-std::vector<RlSystemConfig> BuildBatch(const Scenario& scn, BatchLayout& layout,
-                                       int shard_twin_shards,
-                                       int lane_twin_shards) {
+std::vector<RlSystemConfig> BuildBatch(const Scenario& scn, BatchLayout& layout) {
   std::vector<RlSystemConfig> batch;
   layout.primary = static_cast<int>(batch.size());
   batch.push_back(scn.config);
@@ -50,21 +40,6 @@ std::vector<RlSystemConfig> BuildBatch(const Scenario& scn, BatchLayout& layout,
   if (scn.diff_repack) {
     layout.repack_off = static_cast<int>(batch.size());
     batch.push_back(RepackOffTwin(scn.config));
-  }
-  if (shard_twin_shards > 0) {
-    layout.shard_twin = static_cast<int>(batch.size());
-    RlSystemConfig twin = scn.config;
-    twin.shards = twin.shards == 1 ? shard_twin_shards : 1;
-    batch.push_back(twin);
-  }
-  if (lane_twin_shards > 0) {
-    layout.lane_control_off = static_cast<int>(batch.size());
-    RlSystemConfig twin = scn.config;
-    if (twin.shards == 1) {
-      twin.shards = lane_twin_shards;
-    }
-    twin.shard_lane_control = false;
-    batch.push_back(twin);
   }
   return batch;
 }
@@ -128,51 +103,12 @@ OracleReport JudgeScenario(const Scenario& scn, const EvalOptions& opts,
     }
   }
 
-  // Oracle: sharded execution is byte-identical to serial. Unlike the
-  // ledger diffs this demands the full fingerprint (reports, chaos
-  // counters, ledger, binary trace hash).
-  if (layout.shard_twin >= 0) {
-    ++out.checks_run;
-    if (RunFingerprint(reports[layout.primary]) !=
-        RunFingerprint(reports[layout.shard_twin])) {
-      out.failures.push_back(
-          {"shard-diff", "fingerprints differ between shards=" +
-                             std::to_string(batch[layout.primary].shards) +
-                             " and shards=" +
-                             std::to_string(batch[layout.shard_twin].shards)});
-    }
-  }
-
-  // Oracle: riding classified control events on their affine lanes is a
-  // scheduling-layout change, never a behavioural one. The twin reruns the
-  // primary sharded with lane classification forced off (everything fences
-  // on lane 0, the PR-6 discipline) and the full fingerprint must match.
-  if (layout.lane_control_off >= 0) {
-    ++out.checks_run;
-    const RlSystemConfig& twin = batch[layout.lane_control_off];
-    // Compare against the run with the same shard count when one exists, so
-    // a mismatch isolates lane classification rather than sharding itself;
-    // the shard-diff oracle already ties that run to the primary.
-    int anchor = layout.primary;
-    if (layout.shard_twin >= 0 &&
-        batch[layout.shard_twin].shards == twin.shards) {
-      anchor = layout.shard_twin;
-    }
-    if (RunFingerprint(reports[anchor]) !=
-        RunFingerprint(reports[layout.lane_control_off])) {
-      out.failures.push_back(
-          {"lane-control-diff",
-           "fingerprints differ with control-event lane classification "
-           "forced off at shards=" + std::to_string(twin.shards)});
-    }
-  }
-
-  // Oracle: a mid-run snapshot is byte-stable, shard-invariant, and
-  // invisible. Run A replays the primary with a snapshot barrier at T; run B
-  // flips the shard count, re-reaches the same barrier, and verifies its own
-  // state field-by-field against A's blob (SnapshotTx kVerify). The blobs
-  // must be byte-identical, the verify pass must report zero mismatches, and
-  // both reruns must reproduce the primary's fingerprint exactly.
+  // Oracle: a mid-run snapshot is byte-stable and invisible. Run A replays
+  // the primary with a snapshot barrier at T; run B reruns the same config,
+  // re-reaches the same barrier, and verifies its own state field-by-field
+  // against A's blob (SnapshotTx kVerify). The blobs must be byte-identical,
+  // the verify pass must report zero mismatches, and both reruns must
+  // reproduce the primary's fingerprint exactly.
   if (opts.diff_snapshot) {
     const SystemReport& primary = reports[layout.primary];
     double span = primary.simulated_seconds;
@@ -202,15 +138,11 @@ OracleReport JudgeScenario(const Scenario& scn, const EvalOptions& opts,
                  std::to_string(span) + "s)"});
       } else {
         RlSystemConfig run_b = run_a;
-        run_b.shards =
-            run_b.shards == 1 ? (opts.diff_shards > 0 ? opts.diff_shards : 4) : 1;
         run_b.snapshot_verify = rep_a.snapshot;
         SystemReport rep_b = std::move(RunExperiments({run_b}, solo)[0]);
         if (rep_b.snapshot == nullptr || *rep_b.snapshot != *rep_a.snapshot) {
           out.failures.push_back(
-              {"snapshot-diff", "LMSNAP1 blobs differ between shards=" +
-                                    std::to_string(run_a.shards) + " and shards=" +
-                                    std::to_string(run_b.shards) + " at t=" +
+              {"snapshot-diff", "LMSNAP1 blobs differ between two reruns at t=" +
                                     std::to_string(t) + "s"});
         }
         if (!rep_b.snapshot_mismatches.empty()) {
@@ -230,7 +162,7 @@ OracleReport JudgeScenario(const Scenario& scn, const EvalOptions& opts,
         if (RunFingerprint(rep_b) != base) {
           out.failures.push_back(
               {"snapshot-diff",
-               "shard-flipped snapshot rerun's fingerprint differs from the "
+               "verifying snapshot rerun's fingerprint differs from the "
                "primary's"});
         }
 
@@ -298,10 +230,7 @@ std::vector<OracleReport> EvaluateScenarios(const std::vector<Scenario>& scenari
   offsets.reserve(scenarios.size());
   std::vector<RlSystemConfig> flat;
   for (size_t i = 0; i < scenarios.size(); ++i) {
-    int lane_twin_shards =
-        opts.diff_lane_control ? (opts.diff_shards > 0 ? opts.diff_shards : 4) : 0;
-    batches.push_back(
-        BuildBatch(scenarios[i], layouts[i], opts.diff_shards, lane_twin_shards));
+    batches.push_back(BuildBatch(scenarios[i], layouts[i]));
     offsets.push_back(flat.size());
     flat.insert(flat.end(), batches[i].begin(), batches[i].end());
   }
@@ -333,8 +262,7 @@ std::vector<OracleReport> EvaluateScenarios(const std::vector<Scenario>& scenari
 std::vector<ConfigFingerprint> ScenarioFingerprints(const Scenario& scn,
                                                     unsigned sweep_threads) {
   BatchLayout layout;
-  std::vector<RlSystemConfig> batch = BuildBatch(scn, layout, /*shard_twin_shards=*/0,
-                                                 /*lane_twin_shards=*/0);
+  std::vector<RlSystemConfig> batch = BuildBatch(scn, layout);
   SweepOptions sweep;
   sweep.num_threads = sweep_threads;
   std::vector<SystemReport> reports = RunExperiments(batch, sweep);

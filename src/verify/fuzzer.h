@@ -16,20 +16,9 @@ struct EvalOptions {
   // thread counts and requires byte-identical fingerprints.
   unsigned sweep_threads_a = 4;
   unsigned sweep_threads_b = 2;
-  // Shard count for the shard-differential twin: the primary reruns with
-  // its shard count flipped (1 <-> diff_shards) and the full fingerprint
-  // must match. 0 disables the twin.
-  int diff_shards = 4;
-  // Lane-riding-control differential: the primary reruns sharded (at its
-  // own shard count, or diff_shards when the primary is serial) with
-  // control-event lane classification forced off
-  // (RlSystemConfig::shard_lane_control = false), and the full fingerprint
-  // must match — lane-riding relay/manager traffic is a scheduling-layout
-  // change, never a behavioural one.
-  bool diff_lane_control = true;
   // Snapshot oracle: rerun the primary with a snapshot barrier at a seeded
-  // mid-point T, then a shard-flipped rerun that re-reaches the same barrier
-  // and verifies field-by-field against the first blob. Both blobs must be
+  // mid-point T, then a second rerun that re-reaches the same barrier and
+  // verifies field-by-field against the first blob. Both blobs must be
   // byte-identical, the verify pass must report zero mismatches, and neither
   // rerun's fingerprint may drift from the primary's (a snapshot is an
   // observation, never a perturbation).
@@ -41,11 +30,10 @@ struct EvalOptions {
 //   2. the same batch swept with threads_b — fingerprints must match 1.
 //   3. per-run audit (invariants, drained runs, ledger integrity)
 //   4. sync/repack ledger equivalence against the clean reference run
-//   5. lane-control differential: the sharded rerun with lane classification
-//      forced off must reproduce the same fingerprint (diff_lane_control)
-//   6. snapshot differential: mid-run LMSNAP1 capture is byte-stable across
-//      shard counts and invisible in the run fingerprint (diff_snapshot)
-//   7. `plan_cases` random Algorithm-1 post-apply checks
+//   5. snapshot differential: mid-run LMSNAP1 capture is byte-stable across
+//      reruns, verifies field-by-field, is invisible in the run fingerprint,
+//      and restores into an indistinguishable run (diff_snapshot)
+//   6. `plan_cases` random Algorithm-1 post-apply checks
 OracleReport EvaluateScenario(const Scenario& scenario, const EvalOptions& options = {});
 
 // Batched form: evaluates many scenarios through two sweeps over the

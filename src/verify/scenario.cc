@@ -71,16 +71,14 @@ bool KnownScenarioKey(const std::string& key) {
       "rate_master_fail", "rate_trainer_fail",
       "rate_machine_stall", "rate_link_flap",
       "rate_replica_slow", "rate_message_drop",
-      "crash_restart_rate", "shards",
-      "shard_lane_control",
-      "snapshot_at",    "warmup",
-      "measure",        "config_seed",
-      "diff_sync",      "diff_repack",
-      "plan_cases",     "serving",
-      "serving_rate",   "serving_amplitude",
-      "serving_period", "serving_slo_base",
-      "serving_slo_per_token", "serving_dedicated",
-      "restore_mode",
+      "crash_restart_rate", "snapshot_at",
+      "warmup",         "measure",
+      "config_seed",    "diff_sync",
+      "diff_repack",    "plan_cases",
+      "serving",        "serving_rate",
+      "serving_amplitude", "serving_period",
+      "serving_slo_base", "serving_slo_per_token",
+      "serving_dedicated", "restore_mode",
   };
   for (const char* k : kKeys) {
     if (key == k) {
@@ -278,35 +276,24 @@ std::string ScenarioToText(const Scenario& scn) {
   emit_double("rate_replica_slow", cfg.chaos.replica_slow_per_hour);
   emit_double("rate_message_drop", cfg.chaos.message_drop_per_hour);
   if (cfg.chaos.crash_restart_per_hour != 0.0) {
-    // Like shards= below: emitted only when armed, so pre-existing corpus
-    // files and their byte-exact round-trips are untouched.
+    // Emitted only when armed, so pre-existing corpus files and their
+    // byte-exact round-trips are untouched.
     emit_double("crash_restart_rate", cfg.chaos.crash_restart_per_hour);
   }
   out << "warmup=" << cfg.warmup_iterations << "\n";
   out << "measure=" << cfg.measure_iterations << "\n";
-  if (cfg.shards != 1) {
-    // Emitted only when sharded so pre-existing corpus files and their
-    // byte-exact round-trips are untouched.
-    out << "shards=" << cfg.shards << "\n";
-  }
-  if (!cfg.shard_lane_control) {
-    // Armed-only, like shards=: emitted only when lane-riding control is
-    // explicitly disabled, so pre-existing corpus files round-trip
-    // byte-identically.
-    out << "shard_lane_control=0\n";
-  }
   if (cfg.snapshot_at_seconds != 0.0) {
     emit_double("snapshot_at", cfg.snapshot_at_seconds);
   }
   if (cfg.restore_mode != RestoreMode::kDirect) {
-    // Armed-only, like shards=: pre-existing corpus files round-trip
-    // byte-identically. The axis pins which recovery leg the fuzzer's
-    // snapshot-diff oracle drives through restore_from.
+    // Armed-only, like crash_restart_rate=: pre-existing corpus files
+    // round-trip byte-identically. The axis pins which recovery leg the
+    // fuzzer's snapshot-diff oracle drives through restore_from.
     out << "restore_mode=replay\n";
   }
   if (cfg.serving.enabled) {
-    // Armed-only, like shards= and crash_restart_rate=: serving-off corpus
-    // files round-trip byte-identically to what older binaries wrote.
+    // Armed-only, like crash_restart_rate=: serving-off corpus files
+    // round-trip byte-identically to what older binaries wrote.
     out << "serving=1\n";
     emit_double("serving_rate", cfg.serving.base_rate_per_sec);
     emit_double("serving_amplitude", cfg.serving.diurnal_amplitude);
@@ -461,10 +448,6 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
       cfg.chaos.message_drop_per_hour = num;
     } else if (key == "crash_restart_rate") {
       cfg.chaos.crash_restart_per_hour = num;
-    } else if (key == "shards") {
-      cfg.shards = static_cast<int>(num);
-    } else if (key == "shard_lane_control") {
-      cfg.shard_lane_control = num != 0.0;
     } else if (key == "snapshot_at") {
       cfg.snapshot_at_seconds = num;
     } else if (key == "serving") {
@@ -510,6 +493,17 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
     // The trainer CHECKs this at construction; reject here so a bad scenario
     // file fails with a parse error instead of aborting the process.
     return fail("global_batch must be a positive multiple of num_minibatches");
+  }
+  // Values the components CHECK at construction or first use; rejecting them
+  // here keeps a bad scenario file a parse error. `!(x > 0)` catches NaN.
+  if (!(cfg.max_concurrency > 0)) {
+    return fail("max_concurrency must be positive");
+  }
+  if (!(cfg.repack_period_seconds > 0.0)) {
+    return fail("repack_period must be positive");
+  }
+  if (cfg.chaos_enabled && !(cfg.chaos.start_seconds >= 0.0)) {
+    return fail("chaos_start must be non-negative when chaos is armed");
   }
   cfg.total_gpus = cfg.train_gpus + cfg.rollout_gpus;
   *out = scn;

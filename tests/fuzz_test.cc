@@ -3,6 +3,8 @@
 // machinery itself. The pre-release sweep is `laminar_fuzz --seeds 256`.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,18 @@ TEST(FuzzTest, ScenarioParserRejectsGarbage) {
   // Missing required topology keys still fail, unknown key or not.
   EXPECT_FALSE(ScenarioFromText(
       "# laminar fuzz scenario v1\nno_such_key=1\n", &scn, &error));
+  // Values a component would CHECK on are parse errors, not aborts. A later
+  // line overrides an earlier one, so each text edits one corpus value.
+  std::ifstream in(std::string(LAMINAR_FUZZ_CORPUS_DIR) +
+                   "/replay_anchored_restore.scenario");
+  ASSERT_TRUE(in);
+  std::ostringstream corpus;
+  corpus << in.rdbuf();
+  ASSERT_TRUE(ScenarioFromText(corpus.str(), &scn, &error)) << error;
+  for (const char* edit : {"max_concurrency=0\n", "repack_period=0\n",
+                           "repack_period=nan\n", "chaos=1\nchaos_start=-20\n"}) {
+    EXPECT_FALSE(ScenarioFromText(corpus.str() + edit, &scn, &error)) << edit;
+  }
 }
 
 TEST(FuzzTest, ScenarioParserSkipsUnknownKeysForwardCompatibly) {

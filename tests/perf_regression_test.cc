@@ -84,27 +84,5 @@ TEST(PerfRegressionTest, FingerprintsStableAcrossSweepThreadCounts) {
   }
 }
 
-TEST(PerfRegressionTest, CorpusFingerprintsMatchGoldenUnderSharding) {
-  // The sharded engine must reproduce the serial engine bit for bit: replay
-  // every corpus scenario serially and with shards=4 and compare the two
-  // runs' hashes entry by entry. (The checked-in golden is the serial gate's
-  // job, above.)
-  for (const std::string& path : ListCorpus(LAMINAR_FUZZ_CORPUS_DIR)) {
-    Scenario scn;
-    std::string error;
-    ASSERT_TRUE(LoadScenarioFile(path, &scn, &error)) << path << ": " << error;
-    std::vector<ConfigFingerprint> serial = ScenarioFingerprints(scn);
-    scn.config.shards = 4;
-    std::vector<ConfigFingerprint> sharded = ScenarioFingerprints(scn);
-    ASSERT_EQ(serial.size(), sharded.size()) << path;
-    // Twins derived from the primary inherit its shard count; hashes for
-    // every batch entry must be unchanged.
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].hash, sharded[i].hash)
-          << Basename(path) << " " << serial[i].label << " batch entry " << i;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace laminar

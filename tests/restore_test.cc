@@ -1,8 +1,8 @@
 // Direct-boot restore suite (DESIGN.md §13): a run restarted from an LMSNAP1
 // blob must be indistinguishable from one that never stopped — identical
 // fingerprint (reports, iterations, series, ledger, binary trace) and an
-// identical boot-barrier re-snapshot — across shard counts, with the serving
-// tier on or off, and under crash-restart chaos. The replay-anchored path
+// identical boot-barrier re-snapshot — with the serving tier on or off, and
+// under crash-restart chaos. The replay-anchored path
 // (snapshot_verify) stays alive as the differential oracle: both recovery
 // modes must land on the same bytes.
 #include <gtest/gtest.h>
@@ -44,9 +44,9 @@ RlSystemConfig RestoreConfig() {
 
 // One cell of the restore-equivalence matrix: snapshot `base` at
 // `barrier_seconds` (mid-run by default), then recover both ways —
-// replay-anchored (shard-flipped re-execution verifying every field against
-// the blob) and direct boot (adopt + re-mint, at shard counts 1 and 4) — and
-// require byte-identical fingerprints and blobs everywhere.
+// replay-anchored (re-execution verifying every field against the blob) and
+// direct boot (adopt + re-mint) — and require byte-identical fingerprints and
+// blobs everywhere.
 void CheckRestoreEquivalence(const RlSystemConfig& base,
                              std::optional<double> barrier_seconds = std::nullopt) {
   SystemReport full = RunExperiment(base);
@@ -61,10 +61,9 @@ void CheckRestoreEquivalence(const RlSystemConfig& base,
   ASSERT_FALSE(a.snapshot->empty());
   EXPECT_EQ(RunFingerprint(a), want) << "snapshot perturbed the run";
 
-  // Replay-anchored differential oracle: re-execute from t=0 with flipped
-  // shards, pausing at the same barrier to verify field-by-field.
+  // Replay-anchored differential oracle: re-execute from t=0, pausing at the
+  // same barrier to verify field-by-field.
   RlSystemConfig replay = snapped;
-  replay.shards = base.shards == 1 ? 4 : 1;
   replay.snapshot_verify = a.snapshot;
   SystemReport b = RunExperiment(replay);
   ASSERT_NE(b.snapshot, nullptr);
@@ -75,29 +74,23 @@ void CheckRestoreEquivalence(const RlSystemConfig& base,
   EXPECT_EQ(RunFingerprint(b), want);
 
   // Direct boot: O(1)-of-the-prefix adoption, then run to completion.
-  for (int shards : {1, 4}) {
-    RlSystemConfig boot = base;
-    boot.shards = shards;
-    boot.restore_from = a.snapshot;
-    // Also field-diff the adopted state against the blob, so a drifted boot
-    // names the offending fields instead of just failing the byte compare.
-    boot.snapshot_verify = a.snapshot;
-    SystemReport r = RunExperiment(boot);
-    EXPECT_TRUE(r.restored);
-    EXPECT_TRUE(r.snapshot_mismatches.empty())
-        << r.snapshot_mismatches.size() << " adopted-state mismatches at shards="
-        << shards << "; first: " << r.snapshot_mismatches.front();
-    EXPECT_EQ(r.invariant_violations, 0)
-        << "direct boot at shards=" << shards << " violated invariants";
-    ASSERT_NE(r.snapshot, nullptr);
-    // The boot-barrier re-snapshot byte-equals the blob we booted from: the
-    // adopted state IS the serialized state.
-    EXPECT_EQ(*r.snapshot, *a.snapshot)
-        << "boot re-snapshot drifted at shards=" << shards;
-    // And the continued run is indistinguishable from never having stopped.
-    EXPECT_EQ(RunFingerprint(r), want)
-        << "direct boot diverged at shards=" << shards;
-  }
+  RlSystemConfig boot = base;
+  boot.restore_from = a.snapshot;
+  // Also field-diff the adopted state against the blob, so a drifted boot
+  // names the offending fields instead of just failing the byte compare.
+  boot.snapshot_verify = a.snapshot;
+  SystemReport r = RunExperiment(boot);
+  EXPECT_TRUE(r.restored);
+  EXPECT_TRUE(r.snapshot_mismatches.empty())
+      << r.snapshot_mismatches.size()
+      << " adopted-state mismatches; first: " << r.snapshot_mismatches.front();
+  EXPECT_EQ(r.invariant_violations, 0) << "direct boot violated invariants";
+  ASSERT_NE(r.snapshot, nullptr);
+  // The boot-barrier re-snapshot byte-equals the blob we booted from: the
+  // adopted state IS the serialized state.
+  EXPECT_EQ(*r.snapshot, *a.snapshot) << "boot re-snapshot drifted";
+  // And the continued run is indistinguishable from never having stopped.
+  EXPECT_EQ(RunFingerprint(r), want) << "direct boot diverged";
 }
 
 TEST(DirectBootTest, ResumesByteIdenticalToFullRun) {

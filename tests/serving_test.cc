@@ -2,7 +2,7 @@
 // fleet. Property tests pin the seeded diurnal traffic generator (byte
 // determinism, arrival counts against the analytic rate integral, and the
 // metamorphic rate-doubling law); full-system tests pin byte-identity of
-// serving-armed runs across shard counts and sweep threads, admission
+// serving-armed runs across sweep threads, admission
 // conservation in the report, byte-invisibility of a disabled tier, and the
 // chaos interaction: a gray fail-slow replica under serving load violates
 // the SLO *before* the slowness score quarantines it, and attainment
@@ -188,17 +188,6 @@ TEST(ServingSystemTest, ReportConservesRequestsAndBooksDeadlines) {
   EXPECT_EQ(rep.invariant_violations, 0);
   // The training side still made progress underneath the serving load.
   EXPECT_EQ(rep.iterations_completed, 3);
-}
-
-TEST(ServingSystemTest, ServingRunIsByteIdenticalAcrossShards) {
-  RlSystemConfig serial = ServingConfig();
-  serial.trace.enabled = true;
-  RlSystemConfig sharded = serial;
-  sharded.shards = 4;
-  SystemReport a = RunExperiment(serial);
-  SystemReport b = RunExperiment(sharded);
-  EXPECT_GT(a.serving_completed, 0);
-  EXPECT_EQ(RunFingerprint(a), RunFingerprint(b));
 }
 
 TEST(ServingSystemTest, ServingRunIsByteIdenticalAcrossSweepThreads) {

