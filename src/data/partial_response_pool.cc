@@ -21,9 +21,9 @@ void CheckPoolId(TrajId id) {
 
 void PartialResponsePool::Release(TrajId id) {
   size_t idx = static_cast<size_t>(id);
-  if (idx < handles_.size() && handles_[idx].valid()) {
-    table_.Remove(handles_[idx]);
-    handles_[idx] = EntityHandle{};
+  if (idx < slot_of_.size() && slot_of_[idx] != 0) {
+    free_.push_back(slot_of_[idx] - 1);
+    slot_of_[idx] = 0;
   }
 }
 
@@ -47,16 +47,23 @@ bool PartialResponsePool::Update(const TrajectoryWork& work, int owner_replica) 
     return false;
   }
   size_t idx = static_cast<size_t>(id);
-  if (idx >= handles_.size()) {
-    handles_.resize(idx + 1);
+  if (idx >= slot_of_.size()) {
+    slot_of_.resize(idx + 1, 0);
   }
-  EntityHandle& handle = handles_[idx];
-  if (Entry* e = table_.Get(handle)) {
-    e->work = work;
-    e->owner_replica = owner_replica;
-  } else {
-    handle = table_.Insert({work, owner_replica});
+  uint32_t& slot = slot_of_[idx];
+  if (slot == 0) {
+    if (free_.empty()) {
+      LAMINAR_CHECK_LT(slab_.size(), size_t{UINT32_MAX}) << "partial-response pool slab overflow";
+      free_.push_back(static_cast<uint32_t>(slab_.size()));
+      slab_.emplace_back();
+    }
+    slot = free_.back() + 1;
+    free_.pop_back();
   }
+  // Overwrites in place: a reused slot's stale payload donates its storage.
+  Entry& e = slab_[slot - 1];
+  e.work = work;
+  e.owner_replica = owner_replica;
   ++updates_;
   return true;
 }
@@ -84,15 +91,15 @@ bool PartialResponsePool::MarkDropped(TrajId id) {
 
 std::vector<TrajectoryWork> PartialResponsePool::TakeByReplica(int replica) {
   std::vector<TrajectoryWork> out;
-  for (EntityHandle& handle : handles_) {
-    const Entry* e = table_.Get(handle);
-    if (e == nullptr || e->owner_replica != replica) {
+  for (size_t idx = 0; idx < slot_of_.size(); ++idx) {
+    uint32_t slot = slot_of_[idx];
+    if (slot == 0 || slab_[slot - 1].owner_replica != replica) {
       continue;
     }
     // The entry is leaving the pool, so move the payload out of the slab
     // instead of copying it.
-    TrajectoryWork work = std::move(table_.Remove(handle).work);
-    handle = EntityHandle{};
+    TrajectoryWork work = std::move(slab_[slot - 1].work);
+    Release(static_cast<TrajId>(idx));
     work.kv_resident = false;
     // A checkpoint taken at a sandbox-call boundary (FinishSegment reports
     // progress before advancing the segment) has its current segment fully
@@ -112,9 +119,11 @@ std::vector<TrajectoryWork> PartialResponsePool::TakeByReplica(int replica) {
 
 int64_t PartialResponsePool::total_context_tokens() const {
   int64_t total = 0;
-  table_.ForEach([&total](EntityHandle /*h*/, const Entry& entry) {
-    total += entry.work.context_tokens;
-  });
+  for (uint32_t slot : slot_of_) {
+    if (slot != 0) {
+      total += slab_[slot - 1].work.context_tokens;
+    }
+  }
   return total;
 }
 
@@ -136,37 +145,39 @@ void PartialResponsePool::Snapshot(SnapshotTx& tx) {
         s.Raw(terminal_.data(), terminal_.size());
       });
   // Every live entry in ascending TrajId, the order TakeByReplica recovers
-  // work in. Slab handles are not serialized: adoption reassigns them, and
-  // they never influence behavior or bytes.
+  // work in. Slot numbers are not serialized: adoption reassigns them.
   SnapshotPacked(
       tx, "entries",
       [this](ByteSink& s) {
-        s.U64(table_.size());
-        for (size_t idx = 0; idx < handles_.size(); ++idx) {
-          if (const Entry* entry = table_.Get(handles_[idx])) {
+        s.U64(size());
+        for (size_t idx = 0; idx < slot_of_.size(); ++idx) {
+          if (uint32_t slot = slot_of_[idx]; slot != 0) {
+            const Entry& entry = slab_[slot - 1];
             s.I64(static_cast<TrajId>(idx));
-            s.I32(entry->owner_replica);
-            PackWork(s, entry->work);
+            s.I32(entry.owner_replica);
+            PackWork(s, entry.work);
           }
         }
       },
       [this](ByteSource& s) {
-        table_.Clear();
-        handles_.clear();
-        size_t n = static_cast<size_t>(s.U64());
-        table_.Reserve(n);
-        for (size_t i = 0; i < n; ++i) {
+        slab_.clear();
+        free_.clear();
+        slot_of_.clear();
+        uint64_t n = s.U64();
+        LAMINAR_CHECK_LE(n, s.remaining()) << "partial_pool entry count overruns record";
+        slab_.reserve(static_cast<size_t>(n));
+        for (uint64_t i = 0; i < n; ++i) {
           TrajId id = s.I64();
           CheckPoolId(id);
           size_t idx = static_cast<size_t>(id);
-          LAMINAR_CHECK_GE(idx, handles_.size()) << "partial_pool entries not in ascending TrajId";
+          LAMINAR_CHECK_GE(idx, slot_of_.size()) << "partial_pool entries not in ascending TrajId";
           int owner = s.I32();
-          TrajectoryWork work = UnpackWork(s);
-          handles_.resize(idx + 1);
-          handles_[idx] = table_.Insert({std::move(work), owner});
+          slab_.push_back({UnpackWork(s), owner});
+          slot_of_.resize(idx + 1, 0);
+          slot_of_[idx] = static_cast<uint32_t>(slab_.size());
         }
       });
-  tx.DigestU64("size", table_.size());
+  tx.DigestU64("size", size());
   tx.DigestI64("context_tokens", total_context_tokens());
   tx.End();
 }

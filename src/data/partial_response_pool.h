@@ -14,12 +14,15 @@
 //
 // Layout (DESIGN.md §11): trajectory ids are issued sequentially from 0
 // (PromptPool), so every per-id structure is a dense array indexed by TrajId.
-// The heavy TrajectoryWork payloads live in a generation-tagged slab
-// (EntityTable); a handle array maps each id to its live slab entry (the
-// zero handle means "none"), and a byte array holds the terminal tombstones.
-// Update, MarkCompleted, MarkDropped and Contains are one array index each.
-// Serving requests (kServingIdBase and up) never enter the pool: the mutators
-// CHECK the id range before sizing anything.
+// The heavy TrajectoryWork payloads live in a plain slab with a LIFO free
+// list; a per-id array holds each live entry's slot + 1 (0 means "none"),
+// and a byte array holds the terminal tombstones. Update, MarkCompleted,
+// MarkDropped and Contains are one array index each. Releasing an entry only
+// frees its slot index: the cold payload stays until the next Update that
+// reuses the slot overwrites it, so the slab retains at most its high-water
+// mark of payloads. Slot numbers never leave the pool and never influence
+// behavior or bytes. Serving requests (kServingIdBase and up) never enter
+// the pool: the mutators CHECK the id range before sizing anything.
 //
 // Recovery order is canonical: TakeByReplica and the snapshot walk live
 // entries in ascending TrajId. The order feeds the manager's round-robin
@@ -32,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/entity_table.h"
 #include "src/data/trajectory.h"
 
 namespace laminar {
@@ -63,14 +65,14 @@ class PartialResponsePool {
 
   // False for any id outside [0, kServingIdBase).
   bool Contains(TrajId id) const {
-    return IsRolloutId(id) && static_cast<size_t>(id) < handles_.size() &&
-           handles_[static_cast<size_t>(id)].valid();
+    return IsRolloutId(id) && static_cast<size_t>(id) < slot_of_.size() &&
+           slot_of_[static_cast<size_t>(id)] != 0;
   }
   bool IsTerminal(TrajId id) const {
     return IsRolloutId(id) && static_cast<size_t>(id) < terminal_.size() &&
            terminal_[static_cast<size_t>(id)] != 0;
   }
-  size_t size() const { return table_.size(); }
+  size_t size() const { return slab_.size() - free_.size(); }
   int64_t updates() const { return updates_; }
   int64_t completed() const { return completed_; }
   int64_t dropped() const { return dropped_; }
@@ -90,14 +92,15 @@ class PartialResponsePool {
     int owner_replica = -1;
   };
 
-  // Frees `id`'s live entry, if any.
+  // Frees `id`'s slot, if it has one, without touching the payload.
   void Release(TrajId id);
   // Returns false if `id` was already terminal (the first call wins).
   bool SetTerminal(TrajId id);
 
-  EntityTable<Entry> table_;
-  std::vector<EntityHandle> handles_;  // live slab entry, indexed by TrajId
-  std::vector<uint8_t> terminal_;      // tombstone bitmap, indexed by TrajId
+  std::vector<Entry> slab_;
+  std::vector<uint32_t> free_;      // LIFO: the most recently freed slot first
+  std::vector<uint32_t> slot_of_;   // live entry's slot + 1, indexed by TrajId
+  std::vector<uint8_t> terminal_;   // tombstone bitmap, indexed by TrajId
   int64_t updates_ = 0;
   int64_t completed_ = 0;
   int64_t dropped_ = 0;

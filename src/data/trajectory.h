@@ -8,9 +8,13 @@
 #ifndef LAMINAR_SRC_DATA_TRAJECTORY_H_
 #define LAMINAR_SRC_DATA_TRAJECTORY_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/sim_time.h"
 #include "src/workload/trajectory_spec.h"
 
@@ -29,6 +33,99 @@ inline constexpr bool IsServingId(TrajId id) { return id >= kServingIdBase; }
 // Ids PromptPool issues: dense from 0, so they can index per-id arrays.
 inline constexpr bool IsRolloutId(TrajId id) { return id >= 0 && id < kServingIdBase; }
 
+// Policy versions a trajectory was generated under, oldest first. Nearly
+// every trajectory has one, so up to kInlineCapacity versions live inline and
+// copying such a list never allocates; a longer list (partial rollout across
+// many weight switches) spills to one heap array. It is no larger than a
+// std::vector<int> and offers the part of that interface callers use.
+class VersionList {
+ public:
+  static constexpr uint32_t kInlineCapacity = 4;
+
+  VersionList() = default;
+  VersionList(std::initializer_list<int> init) { Assign(init.begin(), init.size()); }
+  VersionList(const VersionList& other) { Assign(other.begin(), other.size()); }
+  VersionList(VersionList&& other) noexcept { Steal(other); }
+  VersionList& operator=(const VersionList& other) {
+    if (this != &other) {
+      Assign(other.begin(), other.size());
+    }
+    return *this;
+  }
+  VersionList& operator=(VersionList&& other) noexcept {
+    if (this != &other) {
+      Free();
+      Steal(other);
+    }
+    return *this;
+  }
+  ~VersionList() { Free(); }
+
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
+  const int* begin() const { return data(); }
+  const int* end() const { return data() + size_; }
+  int operator[](size_t i) const { return data()[i]; }
+  int front() const { return data()[0]; }
+  int back() const { return data()[size_ - 1]; }
+  void push_back(int v) {
+    if (size_ == capacity_) {
+      LAMINAR_CHECK_LT(capacity_, UINT32_MAX / 2) << "version list overflow";
+      Reserve(2 * capacity_);
+    }
+    data()[size_++] = v;
+  }
+
+ private:
+  bool on_heap() const { return capacity_ > kInlineCapacity; }
+  int* data() { return on_heap() ? heap_ : inline_; }
+  const int* data() const { return on_heap() ? heap_ : inline_; }
+  // Grows to `capacity` (past the inline buffer), keeping the contents.
+  void Reserve(uint32_t capacity) {
+    int* fresh = new int[capacity];
+    std::copy(begin(), end(), fresh);
+    Free();
+    heap_ = fresh;
+    capacity_ = capacity;
+  }
+  // Reuses the current storage when it has room, so overwriting a pooled
+  // record never reallocates.
+  void Assign(const int* src, size_t n) {
+    size_ = 0;
+    if (n > capacity_) {
+      Reserve(static_cast<uint32_t>(n));
+    }
+    std::copy(src, src + n, data());
+    size_ = static_cast<uint32_t>(n);
+  }
+  void Free() {
+    if (on_heap()) {
+      delete[] heap_;
+      capacity_ = kInlineCapacity;
+    }
+  }
+  // Takes `other`'s contents, heap array included, and leaves it empty.
+  void Steal(VersionList& other) {
+    size_ = other.size_;
+    capacity_ = other.capacity_;
+    if (other.on_heap()) {
+      heap_ = other.heap_;
+    } else {
+      std::copy(other.inline_, other.inline_ + kInlineCapacity, inline_);
+    }
+    other.size_ = 0;
+    other.capacity_ = kInlineCapacity;
+  }
+
+  uint32_t size_ = 0;
+  uint32_t capacity_ = kInlineCapacity;
+  union {
+    int inline_[kInlineCapacity] = {};
+    int* heap_;
+  };
+};
+static_assert(sizeof(VersionList) <= sizeof(std::vector<int>));
+
 struct TrajectoryRecord {
   TrajId id = kInvalidTrajId;
   int64_t prompt_id = -1;
@@ -38,7 +135,7 @@ struct TrajectoryRecord {
   // Policy versions used across the trajectory's lifetime. A single entry for
   // ordinary generation; multiple entries when partial rollout switched
   // weights mid-generation (the paper's "mixed-version" pathology).
-  std::vector<int> weight_versions;
+  VersionList weight_versions;
 
   // Outcome (filled by the reward function at completion).
   double reward = 0.0;
@@ -113,7 +210,7 @@ struct TrajectoryWork {
       return 0;
     }
     int64_t n = remaining_in_segment();
-    const std::vector<TrajectorySegment>& segments = record.spec.segments();
+    std::span<const TrajectorySegment> segments = record.spec.segments();
     for (size_t i = segment_index + 1; i < segments.size(); ++i) {
       n += segments[i].decode_tokens;
     }

@@ -135,13 +135,13 @@ double Policy::CurrentSuccessProb(double difficulty) const {
 }
 
 double Policy::TrueSuccessProb(const TrajectoryRecord& record) const {
-  const std::vector<int>& versions = record.weight_versions;
+  const VersionList& versions = record.weight_versions;
   LAMINAR_CHECK(!versions.empty());
   if (versions.size() == 1) {
     return SuccessProb(versions[0], record.difficulty);  // no allocation
   }
   // Equal weights: the simulator does not track per-version token counts.
-  std::vector<int> distinct = versions;
+  std::vector<int> distinct(versions.begin(), versions.end());
   std::sort(distinct.begin(), distinct.end());
   distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
   double p_true = 0.0;

@@ -457,7 +457,7 @@ void RolloutManager::TriggerRepack() {
   }
 }
 
-void RolloutManager::RedirectWork(std::vector<TrajectoryWork> works, int weight_version) {
+std::vector<RolloutReplica*> RolloutManager::RedirectHosts(int weight_version) const {
   // Healthy replicas still on the same version can continue these
   // trajectories (after re-prefilling the saved context). Quarantined
   // (fail-slow) replicas are excluded: handing recovered work back to a sick
@@ -470,6 +470,14 @@ void RolloutManager::RedirectWork(std::vector<TrajectoryWork> works, int weight_
       hosts.push_back(r);
     }
   }
+  std::sort(hosts.begin(), hosts.end(), [](RolloutReplica* a, RolloutReplica* b) {
+    return a->num_reqs() < b->num_reqs();
+  });
+  return hosts;
+}
+
+void RolloutManager::RedirectWork(std::vector<TrajectoryWork> works, int weight_version) {
+  std::vector<RolloutReplica*> hosts = RedirectHosts(weight_version);
   if (hosts.empty()) {
     auto& pending = WorksForVersion(pending_redirects_, weight_version);
     for (auto& w : works) {
@@ -481,10 +489,12 @@ void RolloutManager::RedirectWork(std::vector<TrajectoryWork> works, int weight_
     ScheduleRedirectRetry();
     return;
   }
-  // Round-robin across hosts, least-loaded first.
-  std::sort(hosts.begin(), hosts.end(), [](RolloutReplica* a, RolloutReplica* b) {
-    return a->num_reqs() < b->num_reqs();
-  });
+  DealRedirects(std::move(works), hosts, weight_version);
+}
+
+void RolloutManager::DealRedirects(std::vector<TrajectoryWork> works,
+                                   const std::vector<RolloutReplica*>& hosts,
+                                   int weight_version) {
   std::vector<std::vector<TrajectoryWork>> shards(hosts.size());
   for (size_t i = 0; i < works.size(); ++i) {
     shards[i % hosts.size()].push_back(std::move(works[i]));
@@ -543,13 +553,20 @@ void RolloutManager::RedirectByVersion(std::vector<TrajectoryWork> works,
 }
 
 void RolloutManager::FlushPendingRedirects() {
-  if (pending_redirects_.empty()) {
-    return;
-  }
-  VersionWorks pending = std::move(pending_redirects_);
-  pending_redirects_.clear();
-  for (auto& [version, works] : pending) {
-    RedirectWork(std::move(works), version);
+  // Ascending version. A bucket no replica can host stays parked in place:
+  // its pooled entries were re-homed to kManagerOwner when it parked, so a
+  // pass costs O(buckets x replicas) plus the work that actually moves.
+  for (size_t i = 0; i < pending_redirects_.size();) {
+    int version = pending_redirects_[i].first;
+    std::vector<RolloutReplica*> hosts = RedirectHosts(version);
+    if (hosts.empty()) {
+      ScheduleRedirectRetry();
+      ++i;
+      continue;
+    }
+    std::vector<TrajectoryWork> works = std::move(pending_redirects_[i].second);
+    pending_redirects_.erase(pending_redirects_.begin() + static_cast<ptrdiff_t>(i));
+    DealRedirects(std::move(works), hosts, version);
   }
 }
 
@@ -653,22 +670,17 @@ void RolloutManager::OnMachineReplaced(int64_t seq) {
   // Interrupted work whose policy version no longer runs anywhere is
   // adopted by the fresh replicas, which load that specific checkpointed
   // version (paper §3.3) so the trajectories stay single-version.
-  size_t next = 0;
-  if (!pending_redirects_.empty()) {
-    VersionWorks pending = std::move(pending_redirects_);
-    pending_redirects_.clear();
-    for (auto& [version, works] : pending) {
-      if (next < casualties.size()) {
-        RolloutReplica* host = casualties[next++];
-        host->LoadCheckpointVersion(version);
-        ctr_trajectories_redirected_->Add(static_cast<int64_t>(works.size()));
-        host->AssignWork(std::move(works), /*kv_transferred=*/false);
-      } else {
-        WorksForVersion(pending_redirects_, version) = std::move(works);
-      }
-    }
+  // The oldest buckets go first; the rest stay parked in place.
+  size_t adopted = std::min(casualties.size(), pending_redirects_.size());
+  for (size_t i = 0; i < adopted; ++i) {
+    auto& [version, works] = pending_redirects_[i];
+    casualties[i]->LoadCheckpointVersion(version);
+    ctr_trajectories_redirected_->Add(static_cast<int64_t>(works.size()));
+    casualties[i]->AssignWork(std::move(works), /*kv_transferred=*/false);
   }
-  for (size_t i = next; i < casualties.size(); ++i) {
+  pending_redirects_.erase(pending_redirects_.begin(),
+                           pending_redirects_.begin() + static_cast<ptrdiff_t>(adopted));
+  for (size_t i = adopted; i < casualties.size(); ++i) {
     StartWeightUpdate(casualties[i]);
   }
   FlushPendingRedirects();

@@ -258,7 +258,16 @@ class RolloutManager : public ContinuationClient {
   // is classified inside the retry, against the pinned boundary).
   void ServingSweep();
   bool BacklogAllowsAssignment() const;
+  // Replicas that may continue work of `weight_version`: live, not updating
+  // weights, on that version, not quarantined, not serving-only; least
+  // loaded first. The one eligibility rule for every redirect path.
+  std::vector<RolloutReplica*> RedirectHosts(int weight_version) const;
+  // Deals `works` round-robin onto the version's hosts, or parks them for a
+  // backoff retry when there are none.
   void RedirectWork(std::vector<TrajectoryWork> works, int weight_version);
+  // The round-robin deal onto a non-empty RedirectHosts() result.
+  void DealRedirects(std::vector<TrajectoryWork> works,
+                     const std::vector<RolloutReplica*>& hosts, int weight_version);
   void FlushPendingRedirects();
   void ScheduleRedirectRetry();
   void RedirectByVersion(std::vector<TrajectoryWork> works, int fallback_version);

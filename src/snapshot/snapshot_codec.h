@@ -96,6 +96,7 @@ class ByteSource {
     at_ += n;
   }
 
+  size_t remaining() const { return data_.size() - at_; }
   bool AtEnd() const { return at_ >= data_.size(); }
   void ExpectEnd() const {
     LAMINAR_CHECK(AtEnd()) << "trailing bytes in packed record";
@@ -159,13 +160,12 @@ inline TrajectorySpec UnpackSpec(ByteSource& s) {
   TrajectorySpec spec;
   spec.prompt_tokens = s.I64();
   uint64_t n = s.U64();
-  spec.ReserveSegments(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    TrajectorySegment seg;
+  // Each segment takes 24 wire bytes: bound the count before allocating.
+  LAMINAR_CHECK_LE(n, s.remaining() / 24) << "packed record truncated";
+  for (TrajectorySegment& seg : spec.ResetSegments(static_cast<size_t>(n))) {
     seg.decode_tokens = s.I64();
     seg.env_latency = s.F64();
     seg.feedback_tokens = s.I64();
-    spec.AppendSegment(seg);
   }
   return spec;
 }
@@ -196,7 +196,6 @@ inline TrajectoryRecord UnpackRecord(ByteSource& s) {
   r.group_index = s.I32();
   r.spec = UnpackSpec(s);
   uint64_t n = s.U64();
-  r.weight_versions.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
     r.weight_versions.push_back(s.I32());
   }

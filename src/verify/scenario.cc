@@ -505,6 +505,28 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
   if (cfg.chaos_enabled && !(cfg.chaos.start_seconds >= 0.0)) {
     return fail("chaos_start must be non-negative when chaos is armed");
   }
+  // A horizon <= 0 means "the whole run"; only NaN is malformed.
+  if (cfg.chaos_enabled && std::isnan(cfg.chaos.horizon_seconds)) {
+    return fail("chaos_horizon must be a number when chaos is armed");
+  }
+  int replicas = cfg.rollout_gpus / RolloutTensorParallel(SystemKind::kLaminar, cfg.scale);
+  if (replicas <= 0) {
+    return fail("rollout_gpus cannot hold one rollout replica at this scale");
+  }
+  if (cfg.serving.enabled) {
+    if (!(cfg.serving.dedicated_replicas < replicas)) {
+      return fail("serving_dedicated must leave at least one rollout replica");
+    }
+    if (!(cfg.serving.base_rate_per_sec > 0.0)) {
+      return fail("serving_rate must be positive");
+    }
+    if (!(cfg.serving.diurnal_amplitude >= 0.0 && cfg.serving.diurnal_amplitude < 1.0)) {
+      return fail("serving_amplitude must be in [0, 1)");
+    }
+    if (!(cfg.serving.diurnal_period_seconds > 0.0)) {
+      return fail("serving_period must be positive");
+    }
+  }
   cfg.total_gpus = cfg.train_gpus + cfg.rollout_gpus;
   *out = scn;
   return true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "src/common/logging.h"
 
@@ -30,11 +31,9 @@ TrajectorySpec WorkloadGenerator::Sample(int weight_version) {
       config_.length_drift ? LengthDriftFactor(std::max(weight_version, 0)) : 1.0;
 
   if (config_.task == TaskKind::kMathReasoning) {
-    TrajectorySegment seg;
     auto lengths = response_lengths_;
     lengths.median_tokens *= drift;
-    seg.decode_tokens = lengths.Sample(rng_);
-    spec.AppendSegment(seg);
+    spec.ResetSegments(1)[0].decode_tokens = lengths.Sample(rng_);
     return spec;
   }
 
@@ -46,15 +45,15 @@ TrajectorySpec WorkloadGenerator::Sample(int weight_version) {
   turns = std::clamp(turns, 1, config_.max_tool_calls);
   auto lengths = turn_lengths_;
   lengths.median_tokens *= drift * (0.8 + 0.6 * difficulty);
+  std::span<TrajectorySegment> segments = spec.ResetSegments(static_cast<size_t>(turns));
   for (int t = 0; t < turns; ++t) {
-    TrajectorySegment seg;
+    TrajectorySegment& seg = segments[static_cast<size_t>(t)];
     seg.decode_tokens = lengths.Sample(rng_);
     bool has_env_call = t + 1 < turns;  // the final segment is the answer
     if (has_env_call) {
       seg.env_latency = env_latency_.Sample(rng_) * config_.time_scale;
       seg.feedback_tokens = rng_.UniformInt(64, 512);
     }
-    spec.AppendSegment(seg);
   }
   return spec;
 }

@@ -8,17 +8,21 @@
 //
 // The segment list is immutable once a trajectory enters the pipeline, yet a
 // record is copied many times on its way through it (replica -> partial pool
-// -> experience buffer -> trainer batch). Segments therefore live in a
-// shared refcounted store: copying a spec bumps a refcount instead of
-// cloning the vector, so pipeline hand-off never allocates (DESIGN.md §11).
-// The mutators below are copy-on-write for the builders (workload generator,
-// tests) that shape a spec before or after it is wrapped in a record.
+// -> experience buffer -> trainer batch). Segments therefore live in one
+// shared refcounted array (control block and segments in a single
+// allocation): copying a spec bumps a refcount, so pipeline hand-off never
+// allocates (DESIGN.md §11). Builders that know the turn count up front
+// (workload generator, snapshot decoder) fill a fresh array in place through
+// ResetSegments; AppendSegment is a copy-on-write convenience for tests and
+// one-segment specs.
 #ifndef LAMINAR_SRC_WORKLOAD_TRAJECTORY_SPEC_H_
 #define LAMINAR_SRC_WORKLOAD_TRAJECTORY_SPEC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <span>
+#include <utility>
 
 namespace laminar {
 
@@ -31,17 +35,33 @@ struct TrajectorySegment {
 struct TrajectorySpec {
   int64_t prompt_tokens = 0;
 
-  const std::vector<TrajectorySegment>& segments() const {
-    static const std::vector<TrajectorySegment> kEmpty;
-    return segments_ ? *segments_ : kEmpty;
+  std::span<const TrajectorySegment> segments() const {
+    return {segments_.get(), num_segments_};
   }
-  size_t num_segments() const { return segments_ ? segments_->size() : 0; }
+  size_t num_segments() const { return num_segments_; }
 
-  // Copy-on-write builders: a spec whose store is shared with other copies
-  // clones it before mutating, so those copies are never affected.
-  void AppendSegment(const TrajectorySegment& seg) { MutableSegments().push_back(seg); }
-  void ClearSegments() { segments_.reset(); }
-  void ReserveSegments(size_t n) { MutableSegments().reserve(n); }
+  // Replaces the segment list with `n` value-initialized segments in a fresh
+  // store (one allocation) and returns them for the caller to fill. Copies
+  // that shared the old store keep it.
+  std::span<TrajectorySegment> ResetSegments(size_t n) {
+    std::shared_ptr<TrajectorySegment[]> fresh;
+    if (n > 0) {
+      fresh = std::make_shared<TrajectorySegment[]>(n);
+    }
+    std::span<TrajectorySegment> out(fresh.get(), n);
+    segments_ = std::move(fresh);
+    num_segments_ = n;
+    return out;
+  }
+  // Copy-on-write append: builds a new store of one more segment, so copies
+  // sharing the old store are never affected.
+  void AppendSegment(const TrajectorySegment& seg) {
+    std::shared_ptr<const TrajectorySegment[]> old = std::move(segments_);
+    std::span<TrajectorySegment> fresh = ResetSegments(num_segments_ + 1);
+    std::copy(old.get(), old.get() + (fresh.size() - 1), fresh.begin());
+    fresh.back() = seg;
+  }
+  void ClearSegments() { ResetSegments(0); }
 
   int64_t total_decode_tokens() const {
     int64_t n = 0;
@@ -71,16 +91,8 @@ struct TrajectorySpec {
   int num_turns() const { return static_cast<int>(num_segments()); }
 
  private:
-  std::vector<TrajectorySegment>& MutableSegments() {
-    if (!segments_) {
-      segments_ = std::make_shared<std::vector<TrajectorySegment>>();
-    } else if (segments_.use_count() > 1) {
-      segments_ = std::make_shared<std::vector<TrajectorySegment>>(*segments_);
-    }
-    return *segments_;
-  }
-
-  std::shared_ptr<std::vector<TrajectorySegment>> segments_;
+  std::shared_ptr<const TrajectorySegment[]> segments_;
+  size_t num_segments_ = 0;
 };
 
 }  // namespace laminar

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <random>
 #include <set>
 #include <string>
@@ -12,10 +16,44 @@
 #include "src/data/partial_response_pool.h"
 #include "src/data/prompt_pool.h"
 #include "src/data/trajectory.h"
+#include "src/data/trajectory_digest.h"
 #include "src/snapshot/snapshot.h"
+#include "src/snapshot/snapshot_codec.h"
+#include "src/workload/generator.h"
+
+// Counts every global allocation in this binary, so the hand-off tests below
+// can pin paths that must not touch the heap. Both scalar news are replaced
+// because both are freed through the replaced delete (sanitizer runtimes
+// would otherwise report a new/free mismatch); array new and delete forward
+// to the scalar forms by default.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new(std::size_t n) {
+  if (void* p = operator new(n, std::nothrow)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a new
+// expression and warns about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace laminar {
 namespace {
+
+template <typename Fn>
+int64_t AllocationsDuring(Fn&& fn) {
+  int64_t before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
 
 TrajectoryRecord Rec(TrajId id, int version, int64_t prompt_id = 0) {
   TrajectoryRecord r;
@@ -476,6 +514,256 @@ TEST(PartialResponsePoolTest, RecoveryOrderIsAscendingAndSurvivesAdoption) {
   EXPECT_EQ(adopted.completed(), live.completed());
   EXPECT_EQ(adopted.dropped(), live.dropped());
   EXPECT_EQ(adopted.stale_updates(), live.stale_updates());
+}
+
+// ---- Trajectory hand-off: heap-free copies, byte-stable encodings ----------
+
+TEST(HandoffTest, SingleVersionWorkCopiesWithoutAllocating) {
+  TrajectoryWork w;
+  w.record = Rec(7, 3);
+  w.InitContext();
+  TrajectoryWork assigned;
+  assigned.record = Rec(8, 1);
+  int64_t n = AllocationsDuring([&] {
+    TrajectoryWork copy(w);
+    assigned = copy;
+    TrajectoryWork moved(std::move(copy));
+    assigned.context_tokens += moved.context_tokens;
+  });
+  EXPECT_EQ(n, 0);
+  EXPECT_EQ(assigned.record.id, 7);
+  EXPECT_EQ(assigned.record.generation_version(), 3);
+  EXPECT_EQ(assigned.record.spec.segments().data(), w.record.spec.segments().data());
+}
+
+TEST(HandoffTest, PoolUpdateIntoReusedSlotAllocatesNothing) {
+  PartialResponsePool pool;
+  TrajectoryWork first;
+  first.record = Rec(5, 0);
+  first.InitContext();
+  TrajectoryWork second;
+  second.record = Rec(2, 0);
+  second.InitContext();
+  pool.Update(first, /*owner=*/1);
+  pool.MarkCompleted(5);
+  // Id 2 fits the per-id arrays id 5 sized, and reuses id 5's slot.
+  EXPECT_EQ(AllocationsDuring([&] { pool.Update(second, /*owner=*/1); }), 0);
+  EXPECT_EQ(AllocationsDuring([&] { pool.Update(second, /*owner=*/2); }), 0);
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_TRUE(pool.Contains(2));
+}
+
+TEST(HandoffTest, GeneratorSampleAllocatesOncePerSpec) {
+  for (TaskKind task : {TaskKind::kMathReasoning, TaskKind::kToolCalling}) {
+    WorkloadConfig cfg;
+    cfg.task = task;
+    WorkloadGenerator gen(cfg, Rng(11));
+    TrajectorySpec spec;
+    size_t max_turns = 0;
+    for (int i = 0; i < 64; ++i) {
+      EXPECT_EQ(AllocationsDuring([&] { spec = gen.Sample(0); }), 1) << TaskKindName(task);
+      max_turns = std::max(max_turns, spec.num_segments());
+    }
+    EXPECT_EQ(max_turns > 1, task == TaskKind::kToolCalling);
+  }
+}
+
+// The LMSNAP1 work encoding and the record digest, written field by field
+// from std::vector containers: the reference the inline version list and the
+// one-allocation segment store must reproduce byte for byte.
+std::string ReferenceWorkBytes(const TrajectoryWork& w, const std::vector<int>& versions,
+                               const std::vector<TrajectorySegment>& segments) {
+  const TrajectoryRecord& r = w.record;
+  ByteSink s;
+  s.I64(r.id);
+  s.I64(r.prompt_id);
+  s.I32(r.group_index);
+  s.I64(r.spec.prompt_tokens);
+  s.U64(segments.size());
+  for (const TrajectorySegment& seg : segments) {
+    s.I64(seg.decode_tokens);
+    s.F64(seg.env_latency);
+    s.I64(seg.feedback_tokens);
+  }
+  s.U64(versions.size());
+  for (int v : versions) {
+    s.I32(v);
+  }
+  s.F64(r.reward);
+  s.F64(r.behavior_prob);
+  s.F64(r.difficulty);
+  s.Bool(r.success);
+  s.Time(r.created);
+  s.Time(r.finished);
+  s.I32(r.finish_actor_version);
+  s.I32(r.consume_actor_version);
+  s.I32(w.segment_index);
+  s.I64(w.decoded_in_segment);
+  s.I64(w.context_tokens);
+  s.Bool(w.kv_resident);
+  return s.Take();
+}
+
+uint64_t ReferenceDigest(const TrajectoryRecord& r, const std::vector<int>& versions,
+                         const std::vector<TrajectorySegment>& segments) {
+  uint64_t h = SnapshotFoldI64(0x5EED, r.id);
+  h = SnapshotFoldI64(h, r.prompt_id);
+  h = SnapshotFoldI64(h, r.group_index);
+  h = SnapshotFoldI64(h, r.spec.prompt_tokens);
+  h = SnapshotFoldU64(h, segments.size());
+  for (const TrajectorySegment& seg : segments) {
+    h = SnapshotFoldI64(h, seg.decode_tokens);
+    h = SnapshotFoldF64(h, seg.env_latency);
+    h = SnapshotFoldI64(h, seg.feedback_tokens);
+  }
+  h = SnapshotFoldU64(h, versions.size());
+  for (int v : versions) {
+    h = SnapshotFoldI64(h, v);
+  }
+  h = SnapshotFoldF64(h, r.reward);
+  h = SnapshotFoldF64(h, r.behavior_prob);
+  h = SnapshotFoldF64(h, r.difficulty);
+  h = SnapshotFoldU64(h, r.success ? 1 : 0);
+  h = SnapshotFoldF64(h, r.created.seconds());
+  h = SnapshotFoldF64(h, r.finished.seconds());
+  h = SnapshotFoldI64(h, r.finish_actor_version);
+  h = SnapshotFoldI64(h, r.consume_actor_version);
+  return h;
+}
+
+std::string PackedWork(const TrajectoryWork& w) {
+  ByteSink s;
+  PackWork(s, w);
+  return s.Take();
+}
+
+TEST(HandoffTest, RecordsRoundTripByteIdenticalToVectorReference) {
+  WorkloadConfig tool;
+  tool.task = TaskKind::kToolCalling;
+  WorkloadGenerator gen(tool, Rng(5));
+  TrajectorySpec multi = gen.Sample(0);
+  while (multi.num_segments() < 3) {
+    multi = gen.Sample(0);
+  }
+  struct Case {
+    std::vector<int> versions;
+    TrajectorySpec spec;
+  };
+  TrajectorySpec single;
+  single.prompt_tokens = 77;
+  single.AppendSegment({900, 0.0, 0});
+  std::vector<int> spilled = {5, 4, 5};
+  while (spilled.size() <= VersionList::kInlineCapacity) {
+    spilled.push_back(static_cast<int>(spilled.size()) + 3);
+  }
+  for (const Case& c : {Case{{5, 4, 5}, single}, Case{spilled, single}, Case{{2, 3}, multi}}) {
+    TrajectoryWork w;
+    w.record.id = 41;
+    w.record.prompt_id = 9;
+    w.record.group_index = 3;
+    w.record.spec = c.spec;
+    for (int v : c.versions) {
+      w.record.weight_versions.push_back(v);
+    }
+    w.record.reward = 1.0;
+    w.record.behavior_prob = 0.25;
+    w.record.difficulty = 0.625;
+    w.record.created = SimTime(12.5);
+    w.record.finish_actor_version = 6;
+    w.InitContext();
+    w.decoded_in_segment = 1;
+    w.context_tokens += 1;
+    std::vector<TrajectorySegment> segments(c.spec.segments().begin(),
+                                            c.spec.segments().end());
+    const std::string want = ReferenceWorkBytes(w, c.versions, segments);
+    const uint64_t want_digest = ReferenceDigest(w.record, c.versions, segments);
+    EXPECT_EQ(PackedWork(w), want);
+
+    TrajectoryWork copied = w;
+    EXPECT_EQ(PackedWork(copied), want);
+    TrajectoryWork assigned;
+    assigned.record = Rec(1, 0);
+    assigned = copied;
+    EXPECT_EQ(PackedWork(assigned), want);
+    TrajectoryWork moved = std::move(copied);
+    EXPECT_EQ(PackedWork(moved), want);
+    EXPECT_TRUE(copied.record.weight_versions.empty());
+
+    PartialResponsePool pool;
+    pool.Update(moved, /*owner=*/4);
+    std::vector<TrajectoryWork> taken = pool.TakeByReplica(4);
+    ASSERT_EQ(taken.size(), 1u);
+    EXPECT_EQ(PackedWork(taken[0]), want);  // kv_resident was already false
+
+    ByteSink sink;
+    PackWork(sink, taken[0]);
+    std::string bytes = sink.Take();
+    ByteSource source(bytes);
+    TrajectoryWork unpacked = UnpackWork(source);
+    EXPECT_TRUE(source.AtEnd());
+    EXPECT_EQ(PackedWork(unpacked), want);
+    EXPECT_EQ(TrajectoryRecordDigest(unpacked.record, 0x5EED), want_digest);
+    EXPECT_EQ(TrajectoryRecordDigest(w.record, 0x5EED), want_digest);
+  }
+}
+
+TEST(HandoffTest, AppendingToACopiedSpecLeavesTheOriginalUntouched) {
+  TrajectorySpec original;
+  original.AppendSegment({10, 1.5, 64});
+  original.AppendSegment({20, 0.0, 0});
+  TrajectorySpec copy = original;
+  EXPECT_EQ(copy.segments().data(), original.segments().data());  // shared store
+  copy.AppendSegment({30, 0.0, 0});
+  ASSERT_EQ(original.num_segments(), 2u);
+  EXPECT_EQ(original.segments()[0].feedback_tokens, 64);
+  EXPECT_EQ(original.segments()[1].decode_tokens, 20);
+  EXPECT_EQ(original.total_decode_tokens(), 30);
+  ASSERT_EQ(copy.num_segments(), 3u);
+  EXPECT_EQ(copy.total_decode_tokens(), 60);
+  copy.ClearSegments();
+  EXPECT_EQ(copy.num_segments(), 0u);
+  EXPECT_EQ(original.num_segments(), 2u);
+}
+
+TEST(HandoffTest, ReleasedSlotNeverShowsItsPreviousTenant) {
+  PartialResponsePool pool;
+  auto work = [](TrajId id, int64_t tokens) {
+    TrajectoryWork w;
+    w.record = Rec(id, 0);
+    w.InitContext();
+    w.context_tokens = tokens;
+    return w;
+  };
+  pool.Update(work(1, 1000), /*owner=*/7);
+  pool.MarkCompleted(1);                     // frees slot 0, payload left in place
+  pool.Update(work(2, 30), /*owner=*/8);     // reuses slot 0
+  pool.Update(work(3, 50), /*owner=*/7);     // new slot 1
+  pool.MarkDropped(3);                       // frees slot 1, payload left in place
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.total_context_tokens(), 30);
+  EXPECT_TRUE(pool.TakeByReplica(7).empty());
+
+  SnapshotWriter writer;
+  SnapshotTx write_tx(&writer);
+  pool.Snapshot(write_tx);
+  std::string blob = writer.Finish();
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Parse(blob, &error)) << error;
+  PartialResponsePool adopted;
+  SnapshotTx adopt_tx(&reader, SnapshotMode::kAdopt);
+  adopted.Snapshot(adopt_tx);
+  ASSERT_TRUE(adopt_tx.ok()) << adopt_tx.mismatches().front();
+  EXPECT_EQ(adopted.size(), 1u);
+  EXPECT_EQ(adopted.total_context_tokens(), 30);
+  EXPECT_TRUE(adopted.TakeByReplica(7).empty());
+
+  std::vector<TrajectoryWork> taken = pool.TakeByReplica(8);
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].record.id, 2);
+  EXPECT_EQ(taken[0].context_tokens, 30);
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.total_context_tokens(), 0);
 }
 
 }  // namespace

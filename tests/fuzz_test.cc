@@ -69,8 +69,15 @@ TEST(FuzzTest, ScenarioParserRejectsGarbage) {
   std::ostringstream corpus;
   corpus << in.rdbuf();
   ASSERT_TRUE(ScenarioFromText(corpus.str(), &scn, &error)) << error;
-  for (const char* edit : {"max_concurrency=0\n", "repack_period=0\n",
-                           "repack_period=nan\n", "chaos=1\nchaos_start=-20\n"}) {
+  // The corpus runs two TP-1 replicas; serving's own defaults are valid.
+  ASSERT_TRUE(ScenarioFromText(corpus.str() + "serving=1\n", &scn, &error)) << error;
+  ASSERT_TRUE(ScenarioFromText(corpus.str() + "chaos_horizon=-1\n", &scn, &error)) << error;
+  for (const char* edit :
+       {"max_concurrency=0\n", "repack_period=0\n", "repack_period=nan\n",
+        "chaos=1\nchaos_start=-20\n", "chaos_horizon=nan\n", "scale=32b\n",
+        "serving=1\nserving_dedicated=2\n", "serving=1\nserving_rate=-1\n",
+        "serving=1\nserving_rate=nan\n", "serving=1\nserving_amplitude=1\n",
+        "serving=1\nserving_period=0\n", "serving=1\nserving_period=nan\n"}) {
     EXPECT_FALSE(ScenarioFromText(corpus.str() + edit, &scn, &error)) << edit;
   }
 }

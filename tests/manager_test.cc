@@ -197,6 +197,66 @@ TEST_F(ManagerTest, FailureWithNoSameVersionHostParksWorkUntilReplacement) {
   EXPECT_TRUE(adopted);
 }
 
+// Pooled work whose version no replica can host stays parked, untouched, for
+// as many ticks as it takes: no re-checkpoint, no churn. When a host appears
+// the whole bucket goes out in parked order.
+TEST_F(ManagerTest, UnhostableRedirectsParkInPlaceAcrossTicks) {
+  RolloutManagerConfig cfg;
+  cfg.backlog_cap = 1;
+  cfg.repack_enabled = false;  // keeps replica 0's work on replica 0
+  RolloutManager manager = MakeManager(cfg);
+  WireCompletions(&manager);
+  bool gated = false;  // closed, no replica takes a fresh batch
+  manager.set_backlog_fn([&gated] { return gated ? int64_t{1} : int64_t{0}; });
+  std::vector<TrajId> admitted;  // replica 0's admission order (math: one call each)
+  ptrs_[0]->set_on_progress([&](const TrajectoryWork& w, int id) {
+    admitted.push_back(w.record.id);
+    partial_pool_.Update(w, id);
+  });
+  manager.Start();
+  sim_.RunUntil(SimTime(20.0));
+  gated = true;
+  // Every other replica moves to version 1, so replica 0's version-0 work has
+  // no host once replica 0 is quarantined.
+  for (int i = 1; i < kReplicas; ++i) {
+    ptrs_[i]->ExtractAllWork();
+    ptrs_[i]->SetWeightVersion(1);
+  }
+  std::vector<TrajId> live;
+  for (TrajId id : admitted) {
+    if (partial_pool_.Contains(id)) {
+      live.push_back(id);
+    }
+  }
+  manager.OnReplicaSlow(0);
+  int64_t parked = manager.stats().trajectories_drained_slow;
+  ASSERT_GT(parked, 0);
+  ASSERT_EQ(static_cast<int64_t>(live.size()), parked);  // all of it was admitted
+  EXPECT_EQ(manager.stats().trajectories_redirected, 0);
+  EXPECT_EQ(manager.inflight_trajectories(), parked);
+
+  int64_t updates = partial_pool_.updates();
+  SimTime parked_at = sim_.Now();
+  int64_t retries = manager.stats().redirect_retries;
+  for (int tick = 0; tick < 12; ++tick) {
+    sim_.RunUntil(parked_at + (tick + 1) * cfg.repack_period_seconds);
+    EXPECT_EQ(partial_pool_.updates(), updates) << "tick " << tick;
+    EXPECT_EQ(manager.inflight_trajectories(), parked) << "tick " << tick;
+  }
+  EXPECT_GT(manager.stats().redirect_retries, retries);
+  EXPECT_EQ(manager.stats().trajectories_redirected, 0);
+
+  // Lifting the quarantine makes replica 0 the version's only host.
+  manager.OnReplicaSlowRecovered(0);
+  EXPECT_EQ(manager.stats().trajectories_redirected, parked);
+  EXPECT_EQ(ptrs_[0]->num_reqs(), parked);
+  std::vector<TrajId> received;
+  for (const TrajectoryWork& w : ptrs_[0]->ExtractAllWork()) {
+    received.push_back(w.record.id);
+  }
+  EXPECT_EQ(received, live);
+}
+
 TEST_F(ManagerTest, InflightCountsEverything) {
   RolloutManager manager = MakeManager({});
   WireCompletions(&manager);

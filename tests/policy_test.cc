@@ -343,7 +343,9 @@ TEST(PolicyBitIdentityTest, ScoringMatchesSetReference) {
     for (double difficulty : {0.0, 0.13, 0.5, 0.77, 1.0}) {
       TrajectoryRecord rec;
       rec.difficulty = difficulty;
-      rec.weight_versions = versions;
+      for (int v : versions) {
+        rec.weight_versions.push_back(v);
+      }
       EXPECT_EQ(Bits({policy.TrueSuccessProb(rec)}), Bits({ReferenceTrueSuccessProb(policy, rec)}))
           << "versions[0]=" << versions[0] << " size " << versions.size();
       // Scoring draws one Bernoulli from p_true: the same outcome as the
