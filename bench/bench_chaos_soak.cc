@@ -7,7 +7,7 @@
 // fields — rerunning the soak must print byte-identical rows, which the
 // harness itself verifies by running the first seed twice.
 //
-// Usage: bench_chaos_soak [--seeds N]  (default 24)
+// Usage: bench_chaos_soak [--seeds N]  (N >= 1, default 24)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -110,8 +110,9 @@ int main(int argc, char** argv) {
   laminar::InitBenchTracing(argc, argv);
   int num_seeds = 24;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      num_seeds = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc &&
+        !laminar::ParseCountFlag("--seeds", argv[++i], &num_seeds)) {
+      return 2;
     }
   }
   laminar::Run(num_seeds);

@@ -8,12 +8,15 @@
 // Exit codes: 0 = no regression past the threshold, 1 = at least one run
 // regressed past it (or an events-count mismatch with --threshold, which
 // means the two snapshots did not measure the same deterministic workload),
-// 2 = usage or parse error. Runs present in only one file are reported and
-// skipped by the gate.
+// 2 = usage or parse error. A run that measured nothing (events/sec not a
+// finite number > 0, or a negative event count) is a parse error, and so is
+// a --threshold that is not a finite number >= 0. Runs present in only one
+// file are reported and skipped by the gate.
 //
 // The parser handles exactly the flat schema-1 shape the bench harnesses
 // emit ("runs" array of one-line objects with string/number fields) — it is
 // not a general JSON reader, and it rejects anything without schema: 1.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -111,6 +114,14 @@ bool ParseBenchFile(const char* path, BenchFile* out, std::string* error) {
       *error = std::string(path) + ": run object without a name";
       return false;
     }
+    if (!(std::isfinite(run.events_per_sec) && run.events_per_sec > 0.0) ||
+        !(run.events >= 0.0)) {
+      char numbers[96];
+      std::snprintf(numbers, sizeof(numbers), "events_per_sec %g, events %g",
+                    run.events_per_sec, run.events);
+      *error = std::string(path) + ": run " + run.name + " measured nothing (" + numbers + ")";
+      return false;
+    }
     out->runs.push_back(std::move(run));
     cursor = end + 1;
   }
@@ -130,6 +141,19 @@ const BenchRun* FindRun(const BenchFile& f, const std::string& name) {
   return nullptr;
 }
 
+// Parses a --threshold value: a finite number >= 0.
+bool ParseThreshold(const char* text, double* out) {
+  char* end = nullptr;
+  double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+    std::fprintf(stderr, "bench_diff: --threshold takes a finite number >= 0, got '%s'\n",
+                 text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -138,9 +162,13 @@ int main(int argc, char** argv) {
   const char* after_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-      threshold = std::atof(argv[++i]);
+      if (!ParseThreshold(argv[++i], &threshold)) {
+        return 2;
+      }
     } else if (std::strncmp(argv[i], "--threshold=", 12) == 0) {
-      threshold = std::atof(argv[i] + 12);
+      if (!ParseThreshold(argv[i] + 12, &threshold)) {
+        return 2;
+      }
     } else if (before_path == nullptr) {
       before_path = argv[i];
     } else if (after_path == nullptr) {

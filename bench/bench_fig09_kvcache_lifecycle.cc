@@ -30,14 +30,7 @@ void Run() {
   int completed = 0;
   replica.set_on_complete([&](TrajectoryRecord) { ++completed; });
 
-  std::vector<TrajectoryWork> works;
-  for (auto& rec : pool.NextBatch(512, 0)) {
-    TrajectoryWork w;
-    w.record = rec;
-    w.InitContext();
-    works.push_back(w);
-  }
-  replica.AssignWork(std::move(works));
+  replica.AssignWork(pool.NextBatch(512, 0, SimTime::Zero()));
 
   struct Sample {
     double t;

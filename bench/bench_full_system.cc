@@ -162,7 +162,9 @@ int main(int argc, char** argv) {
   std::string label = "unlabeled";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
+      if (!laminar::ParseCountFlag("--reps", argv[++i], &reps)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {

@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -209,6 +210,18 @@ std::vector<SystemReport> RunSweep(const std::vector<RlSystemConfig>& configs) {
     MaybeWriteSnapshot(rep);
   }
   return reports;
+}
+
+bool ParseCountFlag(const char* flag, const char* text, int* out) {
+  const char* end = text + std::strlen(text);
+  int value = 0;
+  auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || stop != end || value < 1) {
+    std::fprintf(stderr, "%s takes an integer >= 1, got '%s'\n", flag, text);
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 void Banner(const std::string& title) {

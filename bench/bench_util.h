@@ -63,6 +63,11 @@ void ArmSnapshot(RlSystemConfig& cfg);
 void MaybeWriteSnapshot(const SystemReport& report);
 bool BenchSnapshotEnabled();
 
+// Parses a count flag's value (--seeds, --reps): a decimal integer >= 1.
+// Anything else prints "<flag> takes an integer >= 1, got '<text>'" to stderr
+// and returns false; the caller exits 2.
+bool ParseCountFlag(const char* flag, const char* text, int* out);
+
 // Prints a section header.
 void Banner(const std::string& title);
 

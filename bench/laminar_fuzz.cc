@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/exp/sweep.h"
 #include "src/snapshot/snapshot.h"
 #include "src/verify/fuzzer.h"
@@ -213,7 +214,9 @@ int Main(int argc, char** argv) {
     if (replaying) {
       replay.push_back(arg);
     } else if (arg == "--seeds") {
-      opts.num_seeds = std::atoi(next("--seeds"));
+      if (!ParseCountFlag("--seeds", next("--seeds"), &opts.num_seeds)) {
+        return 2;
+      }
     } else if (arg == "--base-seed") {
       opts.base_seed = std::strtoull(next("--base-seed"), nullptr, 10);
     } else if (arg == "--corpus-dir") {

@@ -257,25 +257,11 @@ void DriverBase::OnTrajectoryComplete(TrajectoryRecord record) {
   trainer_->NotifyData();
 }
 
-std::vector<TrajectoryWork> DriverBase::MakeWorkBatch(int num_trajectories,
-                                                      int weight_version) {
-  std::vector<TrajectoryRecord> records = prompts_->NextBatch(num_trajectories, weight_version);
-  std::vector<TrajectoryWork> works;
-  works.reserve(records.size());
-  for (TrajectoryRecord& rec : records) {
-    rec.created = sim_.Now();
-    TrajectoryWork w;
-    w.record = std::move(rec);
-    w.InitContext();
-    works.push_back(std::move(w));
-  }
-  return works;
-}
-
 std::vector<std::vector<TrajectoryWork>> DriverBase::MakeGlobalBatchChunks(
     int weight_version) {
   int num_replicas = static_cast<int>(replica_ptrs_.size());
-  std::vector<TrajectoryWork> all = MakeWorkBatch(cfg_.global_batch, weight_version);
+  std::vector<TrajectoryWork> all =
+      prompts_->NextBatch(cfg_.global_batch, weight_version, sim_.Now());
   std::vector<std::vector<TrajectoryWork>> chunks(num_replicas);
   // Deal whole groups round-robin, mirroring verl's static DP sharding.
   int num_groups = cfg_.global_batch / cfg_.group_size;

@@ -99,7 +99,6 @@ class DriverBase : public ContinuationClient {
   // Creates one global batch of fresh work, split into per-replica chunks of
   // whole GRPO groups (static sharding, as verl-family systems do).
   std::vector<std::vector<TrajectoryWork>> MakeGlobalBatchChunks(int weight_version);
-  std::vector<TrajectoryWork> MakeWorkBatch(int num_trajectories, int weight_version);
 
   // The GPU-direct global synchronization cost for baselines.
   double GlobalSyncSeconds() const;

@@ -48,7 +48,8 @@ void PartialRolloutSystem::FeedReplica(RolloutReplica* replica) {
     starved_.push_back(replica);
     return;
   }
-  replica->AssignWork(MakeWorkBatch(per_replica_batch_, replica->weight_version()));
+  replica->AssignWork(
+      prompts_->NextBatch(per_replica_batch_, replica->weight_version(), sim_.Now()));
 }
 
 void PartialRolloutSystem::RetryStarved() {

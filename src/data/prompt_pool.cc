@@ -21,32 +21,24 @@ PromptPool::PromptPool(WorkloadGenerator generator, int group_size, Rng rng)
   LAMINAR_CHECK_GT(group_size_, 0);
 }
 
-std::vector<TrajectoryRecord> PromptPool::NextGroup(int weight_version) {
-  std::vector<TrajectoryRecord> group;
-  group.reserve(group_size_);
-  int64_t prompt_id = next_prompt_id_++;
-  double difficulty = rng_.Uniform();
-  for (int g = 0; g < group_size_; ++g) {
-    TrajectoryRecord rec;
-    rec.id = next_traj_id_++;
-    rec.prompt_id = prompt_id;
-    rec.group_index = g;
-    rec.difficulty = difficulty;
-    rec.spec = generator_.Sample(weight_version);
-    group.push_back(std::move(rec));
-  }
-  return group;
-}
-
-std::vector<TrajectoryRecord> PromptPool::NextBatch(int num_trajectories, int weight_version) {
+std::vector<TrajectoryWork> PromptPool::NextBatch(int num_trajectories, int weight_version,
+                                                  SimTime created) {
   LAMINAR_CHECK_EQ(num_trajectories % group_size_, 0)
       << "batch must be a whole number of GRPO groups";
-  std::vector<TrajectoryRecord> batch;
+  std::vector<TrajectoryWork> batch;
   batch.reserve(num_trajectories);
   for (int i = 0; i < num_trajectories / group_size_; ++i) {
-    auto group = NextGroup(weight_version);
-    for (auto& rec : group) {
-      batch.push_back(std::move(rec));
+    int64_t prompt_id = next_prompt_id_++;
+    double difficulty = rng_.Uniform();
+    for (int g = 0; g < group_size_; ++g) {
+      TrajectoryWork& w = batch.emplace_back();
+      w.record.id = next_traj_id_++;
+      w.record.prompt_id = prompt_id;
+      w.record.group_index = g;
+      w.record.difficulty = difficulty;
+      w.record.created = created;
+      w.record.spec = generator_.Sample(weight_version);
+      w.InitContext();
     }
   }
   return batch;

@@ -20,13 +20,13 @@ class PromptPool {
  public:
   PromptPool(WorkloadGenerator generator, int group_size, Rng rng);
 
-  // Creates the records for one prompt's full group, sampling the generation
-  // plan under `weight_version` (lengths may drift with the version).
-  std::vector<TrajectoryRecord> NextGroup(int weight_version);
-
-  // Creates `num_trajectories` worth of groups (must be a multiple of the
-  // group size).
-  std::vector<TrajectoryRecord> NextBatch(int num_trajectories, int weight_version);
+  // Creates `num_trajectories` worth of fresh work (a whole number of GRPO
+  // groups), ready to assign: generation plans sampled under `weight_version`
+  // (lengths may drift with the version), `created` stamped, context at the
+  // prompt. Each group draws its difficulty from the pool stream, then one
+  // generator sample per member.
+  std::vector<TrajectoryWork> NextBatch(int num_trajectories, int weight_version,
+                                        SimTime created);
 
   int group_size() const { return group_size_; }
   int64_t prompts_issued() const { return next_prompt_id_; }

@@ -126,10 +126,12 @@ class VersionList {
 };
 static_assert(sizeof(VersionList) <= sizeof(std::vector<int>));
 
+// Fields are ordered widest first, so the record carries no inner padding.
+// The snapshot codec and the record digest write them field by field in
+// their own fixed order, which this layout does not affect.
 struct TrajectoryRecord {
   TrajId id = kInvalidTrajId;
   int64_t prompt_id = -1;
-  int group_index = 0;  // index within the prompt's GRPO group
   TrajectorySpec spec;
 
   // Policy versions used across the trajectory's lifetime. A single entry for
@@ -143,14 +145,15 @@ struct TrajectoryRecord {
   // for importance ratios in the policy update (src/policy).
   double behavior_prob = 0.0;
   double difficulty = 0.5;
-  bool success = false;
 
   SimTime created = SimTime::Zero();
   SimTime finished = SimTime::Zero();
+  int group_index = 0;  // index within the prompt's GRPO group
   // Actor version at the moment generation finished: the paper's inherent
   // staleness is finish_actor_version - generation version (§6).
   int finish_actor_version = 0;
   int consume_actor_version = 0;
+  bool success = false;  // outcome, set with `reward`
 
   int generation_version() const {
     return weight_versions.empty() ? 0 : weight_versions.front();
@@ -185,10 +188,10 @@ struct TrajectoryRecord {
 // Generation progress for an in-flight trajectory.
 struct TrajectoryWork {
   TrajectoryRecord record;
-  int segment_index = 0;
   int64_t decoded_in_segment = 0;
   // Tokens currently in context (prompt + everything decoded + feedback so far).
   int64_t context_tokens = 0;
+  int segment_index = 0;
   // True while the context is materialized in some replica's KVCache. A work
   // item that lost its cache (preemption, migration, failure) must re-prefill
   // `context_tokens` before decoding resumes.
@@ -217,6 +220,8 @@ struct TrajectoryWork {
     return n;
   }
 };
+// Every hand-off copies or moves this; keep it within three cache lines.
+static_assert(sizeof(TrajectoryWork) <= 176);
 
 }  // namespace laminar
 

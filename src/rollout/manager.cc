@@ -274,17 +274,8 @@ void RolloutManager::AssignFreshBatch(RolloutReplica* replica) {
     // enough that a still-sick replica cannot hold real throughput hostage.
     batch = group * std::max(1, config_.probe_groups);
   }
-  std::vector<TrajectoryRecord> records =
-      prompts_->NextBatch(batch, replica->weight_version());
-  std::vector<TrajectoryWork> works;
-  works.reserve(records.size());
-  for (TrajectoryRecord& rec : records) {
-    rec.created = sim_->Now();
-    TrajectoryWork w;
-    w.record = std::move(rec);
-    w.InitContext();
-    works.push_back(std::move(w));
-  }
+  std::vector<TrajectoryWork> works =
+      prompts_->NextBatch(batch, replica->weight_version(), sim_->Now());
   ctr_batches_assigned_->Add();
   LAMINAR_TRACE_INSTANT(sim_, TraceComponent::kManager, "manager/assign_batch",
                         replica->config().id, static_cast<int64_t>(works.size()));

@@ -667,7 +667,7 @@ void RolloutReplica::Advance(int64_t steps) {
   boundary_scratch_.clear();
   while (!boundaries_.empty() && boundaries_.front().step <= vstep_) {
     Boundary b = boundaries_.front();
-    std::pop_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary);
+    std::pop_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary{});
     boundaries_.pop_back();
     if (IsCurrent(b)) {
       LAMINAR_CHECK_EQ(b.step, vstep_) << "advance overran a segment boundary";
@@ -685,8 +685,9 @@ void RolloutReplica::Advance(int64_t steps) {
 }
 
 void RolloutReplica::FinishSegment(TrajectoryWork work) {
-  const TrajectorySegment& seg = work.current_segment();
-  if (seg.env_latency > 0.0) {
+  // Read before `work` moves: a one-segment spec stores its segment inline.
+  double env_latency = work.current_segment().env_latency;
+  if (env_latency > 0.0) {
     // Trajectory leaves the decode batch for its sandbox call; the KV pages
     // stay resident so no recompute is needed on rejoin.
     if (on_progress_) {
@@ -694,7 +695,7 @@ void RolloutReplica::FinishSegment(TrajectoryWork work) {
     }
     EnvEntry entry;
     entry.work = std::move(work);
-    entry.at = sim_->Now() + seg.env_latency;
+    entry.at = sim_->Now() + env_latency;
     entry.seq = ++env_seq_;
     entry.live = true;
     // The event payload names the entry by seq, which is stable across
@@ -766,7 +767,7 @@ void RolloutReplica::JoinBatch(TrajectoryWork work) {
   uint64_t stamp = ++batch_stamp_;
   boundaries_.push_back(Boundary{vstep_ + work.remaining_in_segment(), stamp,
                                  static_cast<uint32_t>(running_.size())});
-  std::push_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary);
+  std::push_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary{});
   batch_ctx_tokens_ += work.context_tokens;
   ++batch_size_;
   running_.emplace_back(std::move(work), vstep_, stamp, true);
@@ -795,7 +796,7 @@ bool RolloutReplica::IsCurrent(const Boundary& b) const {
 
 int64_t RolloutReplica::MinRemaining() {
   while (!boundaries_.empty() && !IsCurrent(boundaries_.front())) {
-    std::pop_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary);
+    std::pop_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary{});
     boundaries_.pop_back();
   }
   LAMINAR_CHECK(!boundaries_.empty()) << "boundary heap lost a batch member";
@@ -819,7 +820,7 @@ void RolloutReplica::TrimBatch() {
     boundaries_.push_back(Boundary{m.join_step + m.work.remaining_in_segment(), m.stamp,
                                    static_cast<uint32_t>(slot)});
   }
-  std::make_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary);
+  std::make_heap(boundaries_.begin(), boundaries_.end(), LaterBoundary{});
 }
 
 void RolloutReplica::ClearBatch() {

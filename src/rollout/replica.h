@@ -280,10 +280,13 @@ class RolloutReplica : public ContinuationClient {
     uint64_t stamp = 0;
     uint32_t slot = 0;
   };
-  // Heap order: the earliest boundary on top, ties in stamp order.
-  static bool LaterBoundary(const Boundary& a, const Boundary& b) {
-    return a.step != b.step ? a.step > b.step : a.stamp > b.stamp;
-  }
+  // Heap order: the earliest boundary on top, ties in stamp order. A function
+  // object, so the heap algorithms inline the comparison.
+  struct LaterBoundary {
+    bool operator()(const Boundary& a, const Boundary& b) const {
+      return a.step != b.step ? a.step > b.step : a.stamp > b.stamp;
+    }
+  };
 
   // Appends `work` to the batch with a fresh stamp.
   void JoinBatch(TrajectoryWork work);

@@ -8,13 +8,16 @@
 //
 // The segment list is immutable once a trajectory enters the pipeline, yet a
 // record is copied many times on its way through it (replica -> partial pool
-// -> experience buffer -> trainer batch). Segments therefore live in one
-// shared refcounted array (control block and segments in a single
-// allocation): copying a spec bumps a refcount, so pipeline hand-off never
-// allocates (DESIGN.md §11). Builders that know the turn count up front
-// (workload generator, snapshot decoder) fill a fresh array in place through
-// ResetSegments; AppendSegment is a copy-on-write convenience for tests and
-// one-segment specs.
+// -> experience buffer -> trainer batch). A single segment (every math spec,
+// every serving request, one-turn tool specs) is stored inline, so such a
+// spec is built, copied and destroyed without touching the heap. Two or more
+// segments live in one shared refcounted array (control block and segments in
+// a single allocation): copying that spec bumps a refcount, so pipeline
+// hand-off never allocates either way (DESIGN.md §11). A span from segments()
+// is valid only while its spec is alive and unmoved. Builders that know the
+// turn count up front (workload generator, snapshot decoder) fill the
+// segments in place through ResetSegments; AppendSegment is a copy-on-write
+// convenience for tests and one-segment specs.
 #ifndef LAMINAR_SRC_WORKLOAD_TRAJECTORY_SPEC_H_
 #define LAMINAR_SRC_WORKLOAD_TRAJECTORY_SPEC_H_
 
@@ -36,29 +39,31 @@ struct TrajectorySpec {
   int64_t prompt_tokens = 0;
 
   std::span<const TrajectorySegment> segments() const {
-    return {segments_.get(), num_segments_};
+    return {num_segments_ > 1 ? shared_.get() : &inline_, num_segments_};
   }
   size_t num_segments() const { return num_segments_; }
 
-  // Replaces the segment list with `n` value-initialized segments in a fresh
-  // store (one allocation) and returns them for the caller to fill. Copies
-  // that shared the old store keep it.
+  // Replaces the segment list with `n` value-initialized segments and returns
+  // them for the caller to fill: in place for one, in a fresh shared store
+  // (one allocation) for more. Copies that shared the old store keep it.
   std::span<TrajectorySegment> ResetSegments(size_t n) {
-    std::shared_ptr<TrajectorySegment[]> fresh;
-    if (n > 0) {
-      fresh = std::make_shared<TrajectorySegment[]>(n);
-    }
-    std::span<TrajectorySegment> out(fresh.get(), n);
-    segments_ = std::move(fresh);
+    inline_ = {};
+    shared_.reset();
     num_segments_ = n;
+    if (n <= 1) {
+      return {&inline_, n};
+    }
+    std::shared_ptr<TrajectorySegment[]> fresh = std::make_shared<TrajectorySegment[]>(n);
+    std::span<TrajectorySegment> out(fresh.get(), n);
+    shared_ = std::move(fresh);
     return out;
   }
-  // Copy-on-write append: builds a new store of one more segment, so copies
-  // sharing the old store are never affected.
+  // Copy-on-write append: builds the list anew with one more segment, so
+  // copies sharing the old store are never affected.
   void AppendSegment(const TrajectorySegment& seg) {
-    std::shared_ptr<const TrajectorySegment[]> old = std::move(segments_);
-    std::span<TrajectorySegment> fresh = ResetSegments(num_segments_ + 1);
-    std::copy(old.get(), old.get() + (fresh.size() - 1), fresh.begin());
+    const TrajectorySpec old = *this;
+    std::span<TrajectorySegment> fresh = ResetSegments(old.num_segments_ + 1);
+    std::ranges::copy(old.segments(), fresh.begin());
     fresh.back() = seg;
   }
   void ClearSegments() { ResetSegments(0); }
@@ -91,7 +96,8 @@ struct TrajectorySpec {
   int num_turns() const { return static_cast<int>(num_segments()); }
 
  private:
-  std::shared_ptr<const TrajectorySegment[]> segments_;
+  TrajectorySegment inline_;  // the segment when there is exactly one
+  std::shared_ptr<const TrajectorySegment[]> shared_;  // two or more
   size_t num_segments_ = 0;
 };
 

@@ -96,24 +96,123 @@ TEST(TrajectoryWorkTest, ProgressAccessors) {
 
 TEST(PromptPoolTest, GroupsShareDifficultyAndPromptId) {
   PromptPool pool(WorkloadGenerator(WorkloadConfig{}, Rng(1)), 16, Rng(2));
-  auto group = pool.NextGroup(0);
+  std::vector<TrajectoryWork> group = pool.NextBatch(16, 0, SimTime::Zero());
   ASSERT_EQ(group.size(), 16u);
-  for (const auto& rec : group) {
-    EXPECT_EQ(rec.prompt_id, group[0].prompt_id);
-    EXPECT_DOUBLE_EQ(rec.difficulty, group[0].difficulty);
+  for (const TrajectoryWork& w : group) {
+    EXPECT_EQ(w.record.prompt_id, group[0].record.prompt_id);
+    EXPECT_DOUBLE_EQ(w.record.difficulty, group[0].record.difficulty);
   }
   // Ids are unique and group indices dense.
   for (size_t i = 0; i < group.size(); ++i) {
-    EXPECT_EQ(group[i].group_index, static_cast<int>(i));
+    EXPECT_EQ(group[i].record.group_index, static_cast<int>(i));
   }
 }
 
 TEST(PromptPoolTest, BatchMustBeWholeGroups) {
   PromptPool pool(WorkloadGenerator(WorkloadConfig{}, Rng(1)), 16, Rng(2));
-  auto batch = pool.NextBatch(64, 0);
+  auto batch = pool.NextBatch(64, 0, SimTime::Zero());
   EXPECT_EQ(batch.size(), 64u);
   EXPECT_EQ(pool.prompts_issued(), 4);
-  EXPECT_DEATH(pool.NextBatch(10, 0), "whole number");
+  EXPECT_DEATH(pool.NextBatch(10, 0, SimTime::Zero()), "whole number");
+}
+
+// The record path NextBatch replaced, kept as the reference it must match:
+// one prompt's group at a time built as records, then each record converted
+// to work. It owns the same two streams PromptPool does.
+struct RecordPathPool {
+  WorkloadGenerator generator;
+  int group_size;
+  Rng rng;
+  int64_t next_prompt_id = 0;
+  TrajId next_traj_id = 0;
+
+  std::vector<TrajectoryRecord> NextGroup(int weight_version) {
+    std::vector<TrajectoryRecord> group;
+    int64_t prompt_id = next_prompt_id++;
+    double difficulty = rng.Uniform();
+    for (int g = 0; g < group_size; ++g) {
+      TrajectoryRecord rec;
+      rec.id = next_traj_id++;
+      rec.prompt_id = prompt_id;
+      rec.group_index = g;
+      rec.difficulty = difficulty;
+      rec.spec = generator.Sample(weight_version);
+      group.push_back(std::move(rec));
+    }
+    return group;
+  }
+
+  std::vector<TrajectoryWork> NextBatch(int num_trajectories, int weight_version,
+                                        SimTime created) {
+    std::vector<TrajectoryWork> works;
+    for (int i = 0; i < num_trajectories / group_size; ++i) {
+      for (TrajectoryRecord& record : NextGroup(weight_version)) {
+        record.created = created;
+        TrajectoryWork work;
+        work.record = std::move(record);
+        work.InitContext();
+        works.push_back(std::move(work));
+      }
+    }
+    return works;
+  }
+};
+
+std::string PackedWork(const TrajectoryWork& w) {
+  ByteSink s;
+  PackWork(s, w);
+  return s.Take();
+}
+
+void ExpectSameBatch(const std::vector<TrajectoryWork>& got,
+                     const std::vector<TrajectoryWork>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    const TrajectoryRecord& g = got[i].record;
+    const TrajectoryRecord& r = want[i].record;
+    ASSERT_EQ(g.id, r.id) << i;
+    EXPECT_EQ(g.prompt_id, r.prompt_id) << i;
+    EXPECT_EQ(g.group_index, r.group_index) << i;
+    EXPECT_EQ(g.difficulty, r.difficulty) << i;
+    EXPECT_EQ(g.created, r.created) << i;
+    EXPECT_EQ(got[i].context_tokens, want[i].context_tokens) << i;
+    // The spec, and every other field, byte for byte.
+    EXPECT_EQ(PackedWork(got[i]), PackedWork(want[i])) << i;
+  }
+}
+
+TEST(PromptPoolTest, InPlaceBatchDrawsExactlyWhatTheRecordPathDrew) {
+  for (TaskKind task : {TaskKind::kMathReasoning, TaskKind::kToolCalling}) {
+    SCOPED_TRACE(TaskKindName(task));
+    WorkloadConfig cfg;
+    cfg.task = task;
+    cfg.length_drift = true;  // so the weight version reaches the samples
+    PromptPool pool(WorkloadGenerator(cfg, Rng(21)), 16, Rng(22));
+    RecordPathPool ref{WorkloadGenerator(cfg, Rng(21)), 16, Rng(22)};
+    ExpectSameBatch(pool.NextBatch(1024, 0, SimTime::Zero()),
+                    ref.NextBatch(1024, 0, SimTime::Zero()));
+    ExpectSameBatch(pool.NextBatch(1024, 3, SimTime(41.5)),
+                    ref.NextBatch(1024, 3, SimTime(41.5)));
+    ExpectSameBatch(pool.NextBatch(16, 4, SimTime(42.0)),
+                    ref.NextBatch(16, 4, SimTime(42.0)));
+    EXPECT_EQ(pool.prompts_issued(), ref.next_prompt_id);
+    EXPECT_EQ(pool.trajectories_issued(), ref.next_traj_id);
+
+    // Mid-sequence, a pool adopted from a snapshot carries on identically.
+    SnapshotWriter writer;
+    SnapshotTx write_tx(&writer);
+    pool.Snapshot(write_tx);
+    std::string blob = writer.Finish();
+    SnapshotReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.Parse(blob, &error)) << error;
+    PromptPool adopted(WorkloadGenerator(cfg, Rng(99)), 16, Rng(98));
+    SnapshotTx adopt_tx(&reader, SnapshotMode::kAdopt);
+    adopted.Snapshot(adopt_tx);
+    ASSERT_TRUE(adopt_tx.ok()) << adopt_tx.mismatches().front();
+    ExpectSameBatch(adopted.NextBatch(1024, 5, SimTime(60.0)),
+                    ref.NextBatch(1024, 5, SimTime(60.0)));
+  }
 }
 
 TEST(ExperienceBufferTest, FifoSamplesOldestFirst) {
@@ -522,18 +621,30 @@ TEST(HandoffTest, SingleVersionWorkCopiesWithoutAllocating) {
   TrajectoryWork w;
   w.record = Rec(7, 3);
   w.InitContext();
+  TrajectoryWork multi = w;
+  multi.record.spec.AppendSegment({50, 1.5, 64});
   TrajectoryWork assigned;
   assigned.record = Rec(8, 1);
+  TrajectoryWork assigned_multi;
   int64_t n = AllocationsDuring([&] {
     TrajectoryWork copy(w);
     assigned = copy;
     TrajectoryWork moved(std::move(copy));
     assigned.context_tokens += moved.context_tokens;
+    assigned_multi = multi;
   });
   EXPECT_EQ(n, 0);
   EXPECT_EQ(assigned.record.id, 7);
   EXPECT_EQ(assigned.record.generation_version(), 3);
-  EXPECT_EQ(assigned.record.spec.segments().data(), w.record.spec.segments().data());
+  // One segment lives inline: the copy holds an equal segment of its own.
+  ASSERT_EQ(assigned.record.spec.num_segments(), 1u);
+  EXPECT_EQ(assigned.record.spec.segments()[0].decode_tokens,
+            w.record.spec.segments()[0].decode_tokens);
+  EXPECT_NE(assigned.record.spec.segments().data(), w.record.spec.segments().data());
+  // Two or more share one store.
+  ASSERT_EQ(assigned_multi.record.spec.num_segments(), 2u);
+  EXPECT_EQ(assigned_multi.record.spec.segments().data(),
+            multi.record.spec.segments().data());
 }
 
 TEST(HandoffTest, PoolUpdateIntoReusedSlotAllocatesNothing) {
@@ -553,18 +664,37 @@ TEST(HandoffTest, PoolUpdateIntoReusedSlotAllocatesNothing) {
   EXPECT_TRUE(pool.Contains(2));
 }
 
-TEST(HandoffTest, GeneratorSampleAllocatesOncePerSpec) {
+TEST(HandoffTest, GeneratorSampleAllocatesOnlyForMultiTurnSpecs) {
   for (TaskKind task : {TaskKind::kMathReasoning, TaskKind::kToolCalling}) {
     WorkloadConfig cfg;
     cfg.task = task;
     WorkloadGenerator gen(cfg, Rng(11));
     TrajectorySpec spec;
     size_t max_turns = 0;
+    int one_turn = 0;
     for (int i = 0; i < 64; ++i) {
-      EXPECT_EQ(AllocationsDuring([&] { spec = gen.Sample(0); }), 1) << TaskKindName(task);
+      int64_t n = AllocationsDuring([&] { spec = gen.Sample(0); });
+      EXPECT_EQ(n, spec.num_segments() > 1 ? 1 : 0) << TaskKindName(task);
       max_turns = std::max(max_turns, spec.num_segments());
+      one_turn += spec.num_segments() == 1 ? 1 : 0;
     }
     EXPECT_EQ(max_turns > 1, task == TaskKind::kToolCalling);
+    EXPECT_GT(one_turn, 0);
+  }
+}
+
+TEST(HandoffTest, NextBatchAllocatesOnceAndOncePerMultiTurnSpec) {
+  for (TaskKind task : {TaskKind::kMathReasoning, TaskKind::kToolCalling}) {
+    WorkloadConfig cfg;
+    cfg.task = task;
+    PromptPool pool(WorkloadGenerator(cfg, Rng(13)), 16, Rng(14));
+    std::vector<TrajectoryWork> batch;
+    int64_t n = AllocationsDuring([&] { batch = pool.NextBatch(1024, 0, SimTime::Zero()); });
+    ASSERT_EQ(batch.size(), 1024u);
+    int64_t multi_turn = std::ranges::count_if(
+        batch, [](const TrajectoryWork& w) { return w.record.spec.num_segments() > 1; });
+    EXPECT_EQ(n, 1 + multi_turn) << TaskKindName(task);
+    EXPECT_EQ(multi_turn > 0, task == TaskKind::kToolCalling);
   }
 }
 
@@ -629,12 +759,6 @@ uint64_t ReferenceDigest(const TrajectoryRecord& r, const std::vector<int>& vers
   h = SnapshotFoldI64(h, r.finish_actor_version);
   h = SnapshotFoldI64(h, r.consume_actor_version);
   return h;
-}
-
-std::string PackedWork(const TrajectoryWork& w) {
-  ByteSink s;
-  PackWork(s, w);
-  return s.Take();
 }
 
 TEST(HandoffTest, RecordsRoundTripByteIdenticalToVectorReference) {

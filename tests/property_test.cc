@@ -36,16 +36,12 @@ TEST_P(ReplicaConservationTest, DecodedTokensMatchSpecsExactly) {
   int64_t expected_decode = 0;
   int64_t expected_context = 0;
   std::set<TrajId> expected_ids;
-  std::vector<TrajectoryWork> works;
   int batch = static_cast<int>(rng.UniformInt(2, 20)) * 16;
-  for (auto& rec : pool.NextBatch(batch, 0)) {
-    expected_decode += rec.spec.total_decode_tokens();
-    expected_context += rec.spec.total_context_tokens();
-    expected_ids.insert(rec.id);
-    TrajectoryWork w;
-    w.record = rec;
-    w.InitContext();
-    works.push_back(w);
+  std::vector<TrajectoryWork> works = pool.NextBatch(batch, 0, SimTime::Zero());
+  for (const TrajectoryWork& w : works) {
+    expected_decode += w.record.spec.total_decode_tokens();
+    expected_context += w.record.spec.total_context_tokens();
+    expected_ids.insert(w.record.id);
   }
 
   int64_t completed_context = 0;
@@ -84,13 +80,9 @@ TEST_P(MigrationConservationTest, TokensSurviveRepeatedMigration) {
   RolloutReplica b(&sim, rc, decode, decode.KvCapacityTokens());
 
   int64_t expected_decode = 0;
-  std::vector<TrajectoryWork> works;
-  for (auto& rec : pool.NextBatch(64, 0)) {
-    expected_decode += rec.spec.total_decode_tokens();
-    TrajectoryWork w;
-    w.record = rec;
-    w.InitContext();
-    works.push_back(w);
+  std::vector<TrajectoryWork> works = pool.NextBatch(64, 0, SimTime::Zero());
+  for (const TrajectoryWork& w : works) {
+    expected_decode += w.record.spec.total_decode_tokens();
   }
   int completed = 0;
   auto on_complete = [&](TrajectoryRecord) { ++completed; };

@@ -13,14 +13,7 @@ namespace laminar {
 namespace {
 
 std::vector<TrajectoryWork> MakeWorks(PromptPool& pool, int n) {
-  std::vector<TrajectoryWork> works;
-  for (auto& rec : pool.NextBatch(n, 0)) {
-    TrajectoryWork w;
-    w.record = rec;
-    w.InitContext();
-    works.push_back(w);
-  }
-  return works;
+  return pool.NextBatch(n, 0, SimTime::Zero());
 }
 
 // One decode segment of `decode_tokens` after a `prompt_tokens` prompt, no
@@ -86,6 +79,39 @@ TEST_F(ReplicaTest, CompletesAllAssignedWork) {
   // Every decode token was produced exactly once.
   EXPECT_EQ(replica.metrics().decode_tokens, decode_tokens_expected);
   // KVCache accounting returns to zero when the replica drains.
+  EXPECT_NEAR(replica.kv_used_tokens(), 0.0, 1e-6);
+}
+
+// A one-segment spec keeps its segment inline, inside the work that moves
+// into the env entry: the sandbox wait must still be the segment's own.
+TEST_F(ReplicaTest, OneSegmentEnvCallRejoinsAfterItsLatency) {
+  RolloutReplica replica = MakeReplica();
+  TrajectoryWork w;
+  w.record.id = 3;
+  w.record.spec.prompt_tokens = 200;
+  w.record.spec.AppendSegment({/*decode=*/40, /*env_latency=*/2.75, /*feedback=*/96});
+  w.InitContext();
+  SimTime boundary_at = SimTime::Max();
+  replica.set_on_progress([&](const TrajectoryWork& p, int) {
+    if (p.remaining_in_segment() == 0) {
+      boundary_at = sim_.Now();
+    }
+  });
+  std::vector<TrajectoryRecord> done;
+  replica.set_on_complete([&](TrajectoryRecord rec) { done.push_back(std::move(rec)); });
+  replica.AssignWork({w});
+  sim_.RunUntilIdle();
+
+  ASSERT_EQ(done.size(), 1u);
+  ASSERT_TRUE(boundary_at.is_finite());
+  // It rejoins, and with no segment left completes, exactly one env latency
+  // after its decode boundary.
+  EXPECT_EQ(done[0].finished, boundary_at + 2.75);
+  // The prompt on admission, then the sandbox feedback on rejoin.
+  EXPECT_EQ(replica.metrics().prefill_tokens, 200 + 96);
+  EXPECT_EQ(replica.metrics().decode_tokens, 40);
+  EXPECT_EQ(done[0].total_tokens(), 200 + 40 + 96);
+  EXPECT_EQ(replica.num_reqs(), 0);
   EXPECT_NEAR(replica.kv_used_tokens(), 0.0, 1e-6);
 }
 
