@@ -9,7 +9,7 @@
 //
 //   bench_serving_slo                       # table on stdout
 //   bench_serving_slo --json out.json --label post-change
-//   bench_serving_slo --trace-out serving.json --snapshot-at 120
+//   bench_serving_slo --trace-out serving.json
 #include <cstdio>
 #include <cstring>
 #include <fstream>

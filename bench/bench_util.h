@@ -45,24 +45,6 @@ void ArmTrace(RlSystemConfig& cfg);
 // Writes the report's trace (if any) to the next numbered output file.
 void MaybeWriteTrace(const SystemReport& report);
 
-// Warm-start snapshots --------------------------------------------------------
-// Every harness accepts `--snapshot-at <T>` (or =<T>): each experiment then
-// pauses at the first event boundary at or past T simulated seconds and captures
-// an LMSNAP1 state snapshot. A snapshot is an observation, never a
-// perturbation, so the printed tables are byte-identical with or without it.
-// `--snapshot-out <path>` writes each experiment's snapshot as a
-// "<base>.<NNN><ext>" warm-start file (submission order, like --trace-out).
-// `--restore-from <file>` resumes every config from the file's blob.
-// `--restore-mode <direct|replay>` picks the recovery leg (default direct):
-// direct boot adopts the blob and re-mints the event heap in wall-clock
-// independent of the barrier time; replay re-executes the prefix from t=0
-// and verifies the re-reached state field-by-field against the blob —
-// the legacy path, kept as a differential oracle (DESIGN.md §13).
-// All notices and mismatch reports go to stderr; stdout never moves.
-void ArmSnapshot(RlSystemConfig& cfg);
-void MaybeWriteSnapshot(const SystemReport& report);
-bool BenchSnapshotEnabled();
-
 // Parses a count flag's value (--seeds, --reps): a decimal integer >= 1.
 // Anything else prints "<flag> takes an integer >= 1, got '<text>'" to stderr
 // and returns false; the caller exits 2.

@@ -22,13 +22,9 @@ namespace laminar {
 
 enum class SamplerKind { kFifo, kFreshness, kStalenessCapped };
 
-// Recovery strategy for a run handed a warm-start blob (restore_from).
-// kDirect boots straight off the blob: adopt every component, re-mint the
-// event heap, resume — O(1) of the prefix. kReplay is the legacy
-// replay-anchored path kept as a differential oracle: re-execute the prefix
-// from t=0 and verify the re-reached barrier state field-by-field against
-// the blob before continuing.
-enum class RestoreMode { kDirect, kReplay };
+// Direct boot is the only recovery path; nothing in src/ reads restore_mode.
+// It stays while perfbench/perfbench.cc assigns it (see ROADMAP).
+enum class RestoreMode { kDirect };
 
 struct RlSystemConfig {
   SystemKind system = SystemKind::kLaminar;
@@ -105,25 +101,19 @@ struct RlSystemConfig {
   // boundary at or past this time, serializes every stateful component into
   // an LMSNAP1 witness and attaches it to the report. snapshot_verify, when
   // set, additionally verifies the live state field-by-field against the
-  // given blob at that same barrier and reports any mismatches (the
-  // fuzzer's snapshot/restore oracle).
+  // given blob at that same barrier (on a direct boot: the adopted state at
+  // the boot barrier) and reports any mismatches (the fuzzer's
+  // snapshot/restore oracle).
   double snapshot_at_seconds = 0.0;
   std::shared_ptr<const std::string> snapshot_verify;
   // Direct-boot restore: when set, Run() builds the system, adopts every
   // component's state from this LMSNAP1 blob, re-mints the pending event heap
   // through the continuation registry and resumes — without replaying the
   // pre-barrier prefix. The restored run must be byte-identical (fingerprint,
-  // trace, ledger, re-snapshot blob) to a run that replayed from t=0. The
+  // trace, ledger, re-snapshot blob) to a run that never stopped. The
   // blob must carry a complete event heap (heap_complete; the Laminar driver
   // guarantees it) and, if tracing is on, full-capture mode.
   std::shared_ptr<const std::string> restore_from;
-  // How the run recovers from restore_from. kDirect (the default) adopts the
-  // blob and resumes in O(1) of the prefix. kReplay keeps the legacy
-  // replay-anchored path alive as a differential oracle: cold-start, replay
-  // the prefix from t=0 to the blob's barrier, verify the re-reached state
-  // field-by-field against the blob (mismatches land in the report), then
-  // continue. Both modes must land on byte-identical fingerprints and
-  // barrier blobs; the fuzzer's snapshot-diff oracle holds them to that.
   RestoreMode restore_mode = RestoreMode::kDirect;
 
   // Metamorphic scaling knob: multiplies every hardware rate (GPU FLOPs, HBM,

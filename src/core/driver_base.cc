@@ -17,23 +17,6 @@ namespace laminar {
 
 namespace {
 constexpr int32_t kDriverComp = ContinuationComponentId(kContFamilyDriver);
-
-// The barrier time a blob was captured at: the first "now" field in the
-// stream is driver/sim/now (SnapshotComponents always begins with the
-// simulator section). Used by replay-anchored recovery to know where to
-// pause and verify.
-double SnapshotBarrierSeconds(const std::string& blob) {
-  SnapshotReader reader;
-  std::string error;
-  LAMINAR_CHECK(reader.Parse(blob, &error)) << "restore_from blob: " << error;
-  for (const SnapshotRecord& r : reader.records()) {
-    if (r.kind == SnapshotRecordKind::kF64 && r.name == "now") {
-      return SnapshotBitsF64(r.u64);
-    }
-  }
-  LAMINAR_CHECK(false) << "restore_from blob carries no sim clock";
-  return 0.0;
-}
 }  // namespace
 
 DriverBase::~DriverBase() { sim_.continuations().Unregister(kDriverComp); }
@@ -339,29 +322,14 @@ SystemReport DriverBase::Run() {
   };
   bool done = true;
   double snap_at = cfg_.snapshot_at_seconds;
-  std::shared_ptr<const std::string> verify_blob = cfg_.snapshot_verify;
-  if (replay_restoring()) {
-    // Replay-anchored recovery: the barrier time and the reference state both
-    // come from the warm-start blob itself.
-    snap_at = SnapshotBarrierSeconds(*cfg_.restore_from);
-    verify_blob = cfg_.restore_from;
-  }
   if (snap_at > 0.0 && !restoring()) {
     // Pre-snapshot segment: stop after the first event at or past snap_at.
     done = sim_.RunUntilTrue([&] { return stop() || sim_.Now().seconds() >= snap_at; });
     if (!stop()) {
       snapshot_blob_ = TakeSnapshot();
       snapshot_taken_at_ = sim_.Now().seconds();
-      if (replay_restoring()) {
-        // Replay recovery "cost": everything from process start to the
-        // barrier — the prefix re-execution IS the restore, so this scales
-        // with barrier time where direct boot does not.
-        restore_wall_seconds_ = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - wall_start)
-                                    .count();
-      }
-      if (verify_blob != nullptr) {
-        snapshot_mismatches_ = VerifySnapshot(*verify_blob);
+      if (cfg_.snapshot_verify != nullptr) {
+        snapshot_mismatches_ = VerifySnapshot(*cfg_.snapshot_verify);
       }
     }
   }

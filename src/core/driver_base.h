@@ -116,18 +116,7 @@ class DriverBase : public ContinuationClient {
   // True when this run direct-boots from cfg_.restore_from. Setup() methods
   // must not schedule events (scripted faults, initial pumps) in that case:
   // every pending event comes back from the blob's event_heap section.
-  bool restoring() const {
-    return cfg_.restore_from != nullptr &&
-           cfg_.restore_mode == RestoreMode::kDirect;
-  }
-  // True when this run recovers from cfg_.restore_from by replaying the
-  // prefix (RestoreMode::kReplay). The run cold-starts normally — Setup()
-  // schedules everything as usual — then pauses at the blob's barrier to
-  // verify the re-reached state against it.
-  bool replay_restoring() const {
-    return cfg_.restore_from != nullptr &&
-           cfg_.restore_mode == RestoreMode::kReplay;
-  }
+  bool restoring() const { return cfg_.restore_from != nullptr; }
 
   // Data/state ------------------------------------------------------------------
   RlSystemConfig cfg_;

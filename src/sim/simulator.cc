@@ -425,7 +425,7 @@ void Simulator::RemintRestoredEvents() {
   // Canonical-order re-mint: each RestoreContinuation schedules through the
   // ordinary paths, so restored events take consecutive sequence numbers in
   // blob order and every later schedule sorts after them — exactly the
-  // pairwise (time, seq) comparisons a replay-anchored restore leaves in the
+  // pairwise (time, seq) comparisons an uninterrupted run leaves in the
   // heap. See DESIGN.md §13 for the argument.
   std::vector<RestoredEvent> entries = std::move(restored_);
   restored_.clear();

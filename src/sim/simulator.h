@@ -125,9 +125,8 @@ class Simulator {
   // Re-schedules every stashed snapshot entry through the continuation
   // registry in canonical order, so each takes a fresh sequence number in
   // the order the blob lists them — which reproduces exactly the
-  // (time, seq) comparisons a replay-anchored restore would have left in
-  // the heap. CHECK-fails if the blob contained a non-reconstructible
-  // (closure) event.
+  // (time, seq) comparisons an uninterrupted run leaves in the heap.
+  // CHECK-fails if the blob contained a non-reconstructible (closure) event.
   void RemintRestoredEvents();
 
  private:

@@ -452,6 +452,21 @@ bool DecodeSnapshotFile(const std::string& data, SnapshotFile* out, std::string*
     if (error != nullptr) *error = "not a snapshot file: " + tx.mismatches().front();
     return false;
   }
+  // A corrupt or older-version blob is refused with a message here; the
+  // driver's direct boot would abort on it.
+  SnapshotReader inner;
+  std::string why;
+  if (!inner.Parse(out->blob, &why)) {
+    if (error != nullptr) *error = "snapshot file blob: " + why;
+    return false;
+  }
+  if (inner.version() != kSnapshotVersion) {
+    if (error != nullptr) {
+      *error = "snapshot file blob is LMSNAP1 v" + std::to_string(inner.version()) +
+               "; this build boots only v" + std::to_string(kSnapshotVersion);
+    }
+    return false;
+  }
   return true;
 }
 

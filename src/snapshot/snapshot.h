@@ -228,10 +228,11 @@ inline double SnapshotBitsF64(uint64_t bits) {
   return v;
 }
 
-// Warm-start snapshot files (laminar_fuzz --snapshot-out / --restore-from,
-// bench --snapshot-out): an outer LMSNAP1 stream with one "snapshot-file"
-// section carrying the scenario text (may be empty for bench configs), the
-// snapshot time, and the inner driver-level snapshot blob.
+// Warm-start snapshot files (laminar_fuzz --snapshot-out / --restore-from):
+// an outer LMSNAP1 stream with one "snapshot-file" section carrying the
+// scenario text, the snapshot time, and the inner driver-level snapshot
+// blob. Decoding also parses the blob and refuses one that is corrupt or not
+// the current kSnapshotVersion.
 struct SnapshotFile {
   std::string scenario_text;
   double snapshot_at = 0.0;

@@ -2,9 +2,9 @@
 // blob must be indistinguishable from one that never stopped — identical
 // fingerprint (reports, iterations, series, ledger, binary trace) and an
 // identical boot-barrier re-snapshot — with the serving tier on or off, and
-// under crash-restart chaos. The replay-anchored path
-// (snapshot_verify) stays alive as the differential oracle: both recovery
-// modes must land on the same bytes.
+// under crash-restart chaos. A snapshot_verify rerun, which re-executes the
+// prefix and verifies every field at the barrier, is the reference the boot
+// is held to: both must land on the same bytes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -43,10 +43,10 @@ RlSystemConfig RestoreConfig() {
 }
 
 // One cell of the restore-equivalence matrix: snapshot `base` at
-// `barrier_seconds` (mid-run by default), then recover both ways —
-// replay-anchored (re-execution verifying every field against the blob) and
-// direct boot (adopt + re-mint) — and require byte-identical fingerprints and
-// blobs everywhere.
+// `barrier_seconds` (mid-run by default), rerun with snapshot_verify (a
+// re-execution verifying every field against the blob), direct-boot from the
+// blob (adopt + re-mint), and require byte-identical fingerprints and blobs
+// everywhere.
 void CheckRestoreEquivalence(const RlSystemConfig& base,
                              std::optional<double> barrier_seconds = std::nullopt) {
   SystemReport full = RunExperiment(base);
@@ -61,8 +61,8 @@ void CheckRestoreEquivalence(const RlSystemConfig& base,
   ASSERT_FALSE(a.snapshot->empty());
   EXPECT_EQ(RunFingerprint(a), want) << "snapshot perturbed the run";
 
-  // Replay-anchored differential oracle: re-execute from t=0, pausing at the
-  // same barrier to verify field-by-field.
+  // Verifying rerun: re-execute from t=0, pausing at the same barrier to
+  // verify field-by-field.
   RlSystemConfig replay = snapped;
   replay.snapshot_verify = a.snapshot;
   SystemReport b = RunExperiment(replay);

@@ -184,11 +184,20 @@ TEST(SnapshotTxTest, RngStateRoundTripsThroughAdopt) {
   }
 }
 
+// A one-section LMSNAP1 stream stamped with `version`.
+std::string InnerBlob(uint32_t version = kSnapshotVersion) {
+  SnapshotWriter w(version);
+  w.BeginSection("driver");
+  w.Bytes("payload", std::string("inner\0blob", 10));
+  w.EndSection();
+  return w.Finish();
+}
+
 TEST(SnapshotFileTest, WarmStartFileRoundTripsAndRejectsTampering) {
   SnapshotFile file;
   file.scenario_text = "# laminar fuzz scenario v1\nseed=7\n";
   file.snapshot_at = 123.5;
-  file.blob = std::string("inner\0blob", 10);
+  file.blob = InnerBlob();
   std::string encoded = EncodeSnapshotFile(file);
 
   SnapshotFile back;
@@ -202,6 +211,18 @@ TEST(SnapshotFileTest, WarmStartFileRoundTripsAndRejectsTampering) {
   corrupt[corrupt.size() / 2] ^= 0x40;
   EXPECT_FALSE(DecodeSnapshotFile(corrupt, &back, &error));
   EXPECT_FALSE(DecodeSnapshotFile("not a snapshot", &back, &error));
+
+  // A valid outer stream around a blob the driver cannot boot is refused
+  // with a message, not handed on to abort at adoption.
+  SnapshotFile cut = file;
+  cut.blob.resize(cut.blob.size() / 2);
+  EXPECT_FALSE(DecodeSnapshotFile(EncodeSnapshotFile(cut), &back, &error));
+  EXPECT_NE(error.find("snapshot file blob: "), std::string::npos) << error;
+
+  SnapshotFile v2 = file;
+  v2.blob = InnerBlob(2);
+  EXPECT_FALSE(DecodeSnapshotFile(EncodeSnapshotFile(v2), &back, &error));
+  EXPECT_EQ(error, "snapshot file blob is LMSNAP1 v2; this build boots only v3");
 }
 
 // ---------------------------------------------------------------------------
@@ -224,7 +245,7 @@ RlSystemConfig SnapConfig() {
   return cfg;
 }
 
-TEST(SystemSnapshotTest, BlobIsByteIdenticalAcrossShardCounts) {
+TEST(SystemSnapshotTest, BlobIsByteIdenticalAcrossReruns) {
   RlSystemConfig base = SnapConfig();
   SystemReport probe = RunExperiment(base);
   ASSERT_GT(probe.simulated_seconds, 0.0);
@@ -265,7 +286,7 @@ TEST(SystemSnapshotTest, VerifyAgainstOwnBlobReportsZeroMismatches) {
   ASSERT_NE(a.snapshot, nullptr);
 
   // A rerun re-reaches the barrier by deterministic replay and verifies
-  // every field against the recorded blob: the restore path.
+  // every field against the recorded blob.
   RlSystemConfig second = first;
   second.snapshot_verify = a.snapshot;
   SystemReport b = RunExperiment(second);
@@ -293,7 +314,7 @@ TEST(SystemSnapshotTest, VerifyAgainstForeignBlobNamesDriftedFields) {
   EXPECT_FALSE(c.snapshot_mismatches.empty());
 }
 
-TEST(SystemSnapshotTest, ServingTierStateSnapshotsShardInvariantly) {
+TEST(SystemSnapshotTest, ServingTierStateSnapshotsIdenticallyAcrossReruns) {
   // With the online serving tier armed (DESIGN.md §14) the blob additionally
   // captures the traffic generator's rng/clock, the manager's ticket table,
   // backlog, and latency histogram — and stays byte-identical across
@@ -381,7 +402,7 @@ TEST(CrashRestartTest, StochasticCrashChaosCompletesCleanly) {
   EXPECT_EQ(rep.invariant_violations, 0);
 }
 
-TEST(CrashRestartTest, SnapshotAndCrashComposeShardInvariantly) {
+TEST(CrashRestartTest, SnapshotAndCrashComposeIdenticallyAcrossReruns) {
   // The hardest composition: stochastic crash-restart chaos AND a snapshot
   // barrier, rerun with a verify pass — the blob and the fingerprint must
   // both be byte-identical, and snapshotting must not perturb the run.
