@@ -22,7 +22,18 @@ double LogUniform(Rng& rng, double lo, double hi) {
 
 FaultProcess::FaultProcess(FaultProcessConfig config) : config_(config) {
   LAMINAR_CHECK_GE(config_.start_seconds, 0.0);
-  LAMINAR_CHECK_GE(config_.horizon_seconds, 0.0);
+  // An infinite horizon, or an infinite rate (whose exponential gaps are
+  // all zero), would append faults until memory runs out.
+  LAMINAR_CHECK(std::isfinite(config_.horizon_seconds) && config_.horizon_seconds >= 0.0)
+      << "(horizon " << config_.horizon_seconds << ") ";
+  for (double per_hour :
+       {config_.machine_fail_per_hour, config_.relay_fail_per_hour,
+        config_.master_fail_per_hour, config_.trainer_fail_per_hour,
+        config_.machine_stall_per_hour, config_.link_flap_per_hour,
+        config_.replica_slow_per_hour, config_.message_drop_per_hour,
+        config_.crash_restart_per_hour}) {
+    LAMINAR_CHECK(std::isfinite(per_hour)) << "(rate " << per_hour << " per hour) ";
+  }
 }
 
 std::vector<FaultEvent> FaultProcess::Generate(uint64_t seed) const {

@@ -27,44 +27,13 @@ DecodeModel::DecodeModel(ModelSpec model, MachineSpec machine, int tensor_parall
   roofline_weight_read_ = model_.weight_bytes() / tp_ / machine_.gpu.effective_hbm();
 }
 
-double DecodeModel::HbmAtBatch(int batch) const {
-  size_t idx = static_cast<size_t>(batch);
-  if (idx >= hbm_at_batch_.size()) {
-    hbm_at_batch_.resize(idx + 1, -1.0);
-  }
-  double& row = hbm_at_batch_[idx];
-  if (row < 0.0) {
-    row = machine_.gpu.effective_hbm_at_batch(batch);
-  }
-  return row;
-}
-
-double DecodeModel::TpCommAtBatch(int batch) const {
-  size_t idx = static_cast<size_t>(batch);
-  if (idx >= tp_comm_at_batch_.size()) {
-    tp_comm_at_batch_.resize(idx + 1, -1.0);
-  }
-  double& row = tp_comm_at_batch_[idx];
-  if (row < 0.0) {
-    // Two ring all-reduces per layer over the activations of the whole batch.
-    double bytes_per_allreduce =
-        static_cast<double>(batch) * model_.hidden_size * model_.bytes_per_param;
-    double ring_factor = 2.0 * (tp_ - 1) / static_cast<double>(tp_);
-    double transfer = bytes_per_allreduce * ring_factor / machine_.nvlink_bandwidth;
-    // Per-all-reduce launch latency dominates for the tiny decode activations.
-    const double launch = 8.0e-6 * machine_.gpu.host_overhead_scale;
-    row = 2.0 * model_.num_layers * (transfer + launch);
-  }
-  return row;
-}
-
 double DecodeModel::MemoryTime(int batch, double avg_context_tokens) const {
   // Each GPU streams its weight shard once per step plus its share of every
   // running sequence's KV. Shards are read in parallel, so per-GPU traffic is
   // the step's critical path.
   double kv_read =
       static_cast<double>(batch) * avg_context_tokens * kv_bytes_per_token_ / tp_;
-  return (weight_shard_bytes_ + kv_read) / HbmAtBatch(batch);
+  return (weight_shard_bytes_ + kv_read) / machine_.gpu.effective_hbm_at_batch(batch);
 }
 
 double DecodeModel::ComputeTime(int batch, double avg_context_tokens) const {
@@ -79,7 +48,14 @@ double DecodeModel::TpCommTime(int batch) const {
   if (tp_ == 1) {
     return 0.0;
   }
-  return TpCommAtBatch(batch);
+  // Two ring all-reduces per layer over the activations of the whole batch.
+  double bytes_per_allreduce =
+      static_cast<double>(batch) * model_.hidden_size * model_.bytes_per_param;
+  double ring_factor = 2.0 * (tp_ - 1) / static_cast<double>(tp_);
+  double transfer = bytes_per_allreduce * ring_factor / machine_.nvlink_bandwidth;
+  // Per-all-reduce launch latency dominates for the tiny decode activations.
+  const double launch = 8.0e-6 * machine_.gpu.host_overhead_scale;
+  return 2.0 * model_.num_layers * (transfer + launch);
 }
 
 double DecodeModel::StepLatency(int batch, double avg_context_tokens) const {
@@ -87,42 +63,18 @@ double DecodeModel::StepLatency(int batch, double avg_context_tokens) const {
   if (batch == 0) {
     return 0.0;
   }
-  // Direct-mapped lookup: row = (batch, quantized context bucket), hit only
-  // on bit-equal context. Nearby contexts that share a bucket evict each
-  // other; correctness never depends on the bucketing.
-  size_t bucket =
-      static_cast<size_t>(avg_context_tokens * (1.0 / 256.0)) % kCtxBuckets;
-  size_t idx = static_cast<size_t>(batch) * kCtxBuckets + bucket;
-  if (idx >= step_cache_.size()) {
-    step_cache_.resize(idx + kCtxBuckets);
-  }
-  StepEntry& entry = step_cache_[idx];
-  if (entry.ctx == avg_context_tokens) {
-    ++step_cache_hits_;
-    return entry.latency;
-  }
-  ++step_cache_misses_;
   double mem = MemoryTime(batch, avg_context_tokens);
   double compute = ComputeTime(batch, avg_context_tokens);
-  double latency = std::max(mem, compute) + TpCommTime(batch) + KernelOverhead();
-  entry.ctx = avg_context_tokens;
-  entry.latency = latency;
-  return latency;
+  return std::max(mem, compute) + TpCommTime(batch) + KernelOverhead();
 }
 
 double DecodeModel::PrefillLatency(double tokens) const {
   if (tokens <= 0.0) {
     return 0.0;
   }
-  if (tokens == prefill_last_tokens_) {
-    return prefill_last_latency_;
-  }
   double flops = tokens * forward_flops_;
   double compute = flops / prefill_flops_divisor_;
-  double latency = compute + KernelOverhead();
-  prefill_last_tokens_ = tokens;
-  prefill_last_latency_ = latency;
-  return latency;
+  return compute + KernelOverhead();
 }
 
 int DecodeModel::RooflineBatchBound(double avg_context_tokens, double slack) const {

@@ -8,20 +8,14 @@
 // adds per-layer all-reduce traffic over NVLink.
 //
 // The model is evaluated once per replica advance, which makes it the
-// innermost arithmetic of the whole simulation. All spec-derived terms
+// innermost arithmetic of the whole simulation. The spec-derived terms
 // (weight-shard bytes, KV bytes/token, FLOP divisors) are hoisted into
-// constants at construction, the batch-only terms (HBM ramp, TP all-reduce)
-// are memoized per batch size, and full (batch, context) step latencies are
-// cached in a small direct-mapped table keyed by quantized context bucket.
-// Every cached value is EXACT: hoisting only precomputes subexpressions the
-// original formulas evaluated first anyway (no reassociation), and a context
-// cache entry only hits on bit-equality of the query, so cached and direct
-// evaluation are bit-identical (decode_model_test.cc asserts this).
+// constants at construction; everything else is evaluated directly, so a
+// DecodeModel holds no mutable state. A hoisted constant is exactly the
+// subexpression the written-out formula evaluates first (no reassociation),
+// so results are bit-identical to it (decode_model_test.cc asserts this).
 #ifndef LAMINAR_SRC_LLM_DECODE_MODEL_H_
 #define LAMINAR_SRC_LLM_DECODE_MODEL_H_
-
-#include <cstdint>
-#include <vector>
 
 #include "src/cluster/hardware.h"
 #include "src/llm/model_spec.h"
@@ -65,15 +59,7 @@ class DecodeModel {
   const ModelSpec& model() const { return model_; }
   int tensor_parallel() const { return tp_; }
 
-  // Memo instrumentation (decode_model_test.cc).
-  int64_t step_cache_hits() const { return step_cache_hits_; }
-  int64_t step_cache_misses() const { return step_cache_misses_; }
-
  private:
-  // Batch-only memo rows, grown on demand (-1 marks an unfilled row).
-  double HbmAtBatch(int batch) const;
-  double TpCommAtBatch(int batch) const;
-
   ModelSpec model_;
   MachineSpec machine_;
   int tp_;
@@ -89,25 +75,6 @@ class DecodeModel {
   double prefill_flops_divisor_ = 0.0;  // tp * peak_bf16 * prefill_efficiency
   double kernel_overhead_ = 0.0;
   double roofline_weight_read_ = 0.0;  // weight_bytes() / tp / effective_hbm()
-
-  mutable std::vector<double> hbm_at_batch_;
-  mutable std::vector<double> tp_comm_at_batch_;
-
-  // Direct-mapped (batch, context-bucket) step-latency cache. A row hits
-  // only when the stored context is bit-equal to the query, so a hit returns
-  // exactly what a fresh evaluation would.
-  static constexpr int kCtxBuckets = 16;
-  struct StepEntry {
-    double ctx = -1.0;  // contexts are >= 0, so -1 marks empty
-    double latency = 0.0;
-  };
-  mutable std::vector<StepEntry> step_cache_;  // batch * kCtxBuckets + bucket
-  mutable int64_t step_cache_hits_ = 0;
-  mutable int64_t step_cache_misses_ = 0;
-
-  // Single-entry prefill memo (feedback/prompt token counts repeat heavily).
-  mutable double prefill_last_tokens_ = -1.0;
-  mutable double prefill_last_latency_ = 0.0;
 };
 
 }  // namespace laminar

@@ -5,12 +5,19 @@
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 
 namespace laminar {
 namespace {
+
+// Upper bound on one chaos class's expected fault count over the chaos
+// window: far above any drill's need, far below a schedule that exhausts
+// memory.
+constexpr double kMaxExpectedFaults = 1.0e6;
 
 // Arms one chaos class: Bernoulli gate, then a log-uniform rate so the
 // schedule mixes quiet and violent classes.
@@ -491,9 +498,37 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
   if (cfg.chaos_enabled && !(cfg.chaos.start_seconds >= 0.0)) {
     return fail("chaos_start must be non-negative when chaos is armed");
   }
-  // A horizon <= 0 means "the whole run"; only NaN is malformed.
-  if (cfg.chaos_enabled && std::isnan(cfg.chaos.horizon_seconds)) {
-    return fail("chaos_horizon must be a number when chaos is armed");
+  if (cfg.chaos_enabled) {
+    // A horizon <= 0 means "the whole run"; only NaN and infinity are
+    // malformed.
+    const double horizon = cfg.chaos.horizon_seconds;
+    if (!std::isfinite(horizon)) {
+      return fail("chaos_horizon must be a finite number when chaos is armed");
+    }
+    // A rate <= 0 turns its class off. A non-finite rate aborts the
+    // exponential draw or never advances the arrival clock, and a finite
+    // one can still ask FaultProcess::Generate for more faults than memory
+    // holds, so the expected count over the chaos window is bounded too.
+    const double window = horizon > 0.0 ? horizon : cfg.max_sim_seconds;
+    const std::pair<const char*, double> rates[] = {
+        {"rate_machine_fail", cfg.chaos.machine_fail_per_hour},
+        {"rate_relay_fail", cfg.chaos.relay_fail_per_hour},
+        {"rate_master_fail", cfg.chaos.master_fail_per_hour},
+        {"rate_trainer_fail", cfg.chaos.trainer_fail_per_hour},
+        {"rate_machine_stall", cfg.chaos.machine_stall_per_hour},
+        {"rate_link_flap", cfg.chaos.link_flap_per_hour},
+        {"rate_replica_slow", cfg.chaos.replica_slow_per_hour},
+        {"rate_message_drop", cfg.chaos.message_drop_per_hour},
+        {"crash_restart_rate", cfg.chaos.crash_restart_per_hour},
+    };
+    for (const auto& [key, per_hour] : rates) {
+      if (!std::isfinite(per_hour)) {
+        return fail(std::string(key) + " must be a finite number when chaos is armed");
+      }
+      if (per_hour / 3600.0 * window > kMaxExpectedFaults) {
+        return fail(std::string(key) + " expects more than 1e6 faults in the chaos window");
+      }
+    }
   }
   int replicas = cfg.rollout_gpus / RolloutTensorParallel(SystemKind::kLaminar, cfg.scale);
   if (replicas <= 0) {
@@ -503,8 +538,9 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
     if (!(cfg.serving.dedicated_replicas < replicas)) {
       return fail("serving_dedicated must leave at least one rollout replica");
     }
-    if (!(cfg.serving.base_rate_per_sec > 0.0)) {
-      return fail("serving_rate must be positive");
+    if (!(cfg.serving.base_rate_per_sec > 0.0) ||
+        !std::isfinite(cfg.serving.base_rate_per_sec)) {
+      return fail("serving_rate must be positive and finite");
     }
     if (!(cfg.serving.diurnal_amplitude >= 0.0 && cfg.serving.diurnal_amplitude < 1.0)) {
       return fail("serving_amplitude must be in [0, 1)");

@@ -13,7 +13,9 @@ constexpr double kTwoPi = 6.283185307179586476925286766559;
 
 ServingTrafficGenerator::ServingTrafficGenerator(ServingTrafficConfig config, Rng rng)
     : config_(config), rng_(rng) {
-  LAMINAR_CHECK(config_.base_rate_per_sec > 0.0);
+  // An infinite rate makes the thinning ratio inf/inf = NaN, so Next()
+  // would reject every candidate forever.
+  LAMINAR_CHECK(config_.base_rate_per_sec > 0.0 && std::isfinite(config_.base_rate_per_sec));
   LAMINAR_CHECK(config_.diurnal_amplitude >= 0.0 && config_.diurnal_amplitude < 1.0);
   LAMINAR_CHECK(config_.diurnal_period_seconds > 0.0);
   prompt_lengths_.median_tokens = config_.prompt_median_tokens;

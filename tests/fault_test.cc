@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -433,6 +434,21 @@ TEST(FaultProcessTest, ClassStreamsAreIndependent) {
     EXPECT_EQ(machine_only[i].at_seconds, base[i].at_seconds) << i;
     EXPECT_EQ(machine_only[i].target, base[i].target) << i;
   }
+}
+
+TEST(FaultProcessDeathTest, RefusesNonFiniteRatesAndHorizon) {
+  // An infinite rate draws zero-length gaps and an infinite horizon never
+  // closes the window: either would append faults until memory runs out,
+  // so the constructor refuses them before Generate can start.
+  FaultProcessConfig inf_rate = ChaosConfigForTest();
+  inf_rate.link_flap_per_hour = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH({ FaultProcess proc(inf_rate); }, "rate inf per hour");
+  FaultProcessConfig nan_rate = ChaosConfigForTest();
+  nan_rate.crash_restart_per_hour = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH({ FaultProcess proc(nan_rate); }, "rate nan per hour");
+  FaultProcessConfig inf_horizon = ChaosConfigForTest();
+  inf_horizon.horizon_seconds = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH({ FaultProcess proc(inf_horizon); }, "horizon inf");
 }
 
 }  // namespace

@@ -72,12 +72,33 @@ TEST(FuzzTest, ScenarioParserRejectsGarbage) {
   // The corpus runs two TP-1 replicas; serving's own defaults are valid.
   ASSERT_TRUE(ScenarioFromText(corpus.str() + "serving=1\n", &scn, &error)) << error;
   ASSERT_TRUE(ScenarioFromText(corpus.str() + "chaos_horizon=-1\n", &scn, &error)) << error;
+  // A negative rate still means "off", and 20000 faults over the corpus's
+  // 3600 s window are within the expected-fault bound.
+  ASSERT_TRUE(ScenarioFromText(corpus.str() + "rate_machine_stall=-5\n", &scn, &error))
+      << error;
+  ASSERT_TRUE(ScenarioFromText(corpus.str() + "rate_machine_stall=20000\n", &scn, &error))
+      << error;
+  // Non-finite chaos rates abort the exponential draw or never advance the
+  // arrival clock; a finite rate past the expected-fault bound (here over a
+  // whole-run window) would fill memory with faults.
+  for (const char* key :
+       {"rate_machine_fail", "rate_relay_fail", "rate_master_fail", "rate_trainer_fail",
+        "rate_machine_stall", "rate_link_flap", "rate_replica_slow", "rate_message_drop",
+        "crash_restart_rate"}) {
+    for (const char* value : {"nan", "inf", "-inf", "1e12"}) {
+      std::string edit = std::string(key) + "=" + value + "\n";
+      EXPECT_FALSE(ScenarioFromText(corpus.str() + edit, &scn, &error)) << edit;
+    }
+    std::string whole_run = "chaos_horizon=0\n" + std::string(key) + "=20000\n";
+    EXPECT_FALSE(ScenarioFromText(corpus.str() + whole_run, &scn, &error)) << whole_run;
+  }
   for (const char* edit :
        {"max_concurrency=0\n", "repack_period=0\n", "repack_period=nan\n",
         "chaos=1\nchaos_start=-20\n", "chaos_horizon=nan\n", "scale=32b\n",
         "serving=1\nserving_dedicated=2\n", "serving=1\nserving_rate=-1\n",
         "serving=1\nserving_rate=nan\n", "serving=1\nserving_amplitude=1\n",
-        "serving=1\nserving_period=0\n", "serving=1\nserving_period=nan\n"}) {
+        "serving=1\nserving_period=0\n", "serving=1\nserving_period=nan\n",
+        "chaos_horizon=inf\n", "chaos_horizon=-inf\n", "serving=1\nserving_rate=inf\n"}) {
     EXPECT_FALSE(ScenarioFromText(corpus.str() + edit, &scn, &error)) << edit;
   }
 }

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,14 @@ ServingTrafficConfig SmallTraffic() {
 
 // ---------------------------------------------------------------------------
 // Traffic generator properties.
+
+TEST(ServingTrafficDeathTest, RefusesInfiniteRate) {
+  // An infinite rate makes every thinning ratio inf/inf = NaN, so Next()
+  // would reject candidates forever; the constructor refuses it instead.
+  ServingTrafficConfig sc = SmallTraffic();
+  sc.base_rate_per_sec = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH({ ServingTrafficGenerator gen(sc, Rng(1)); }, "isfinite");
+}
 
 TEST(ServingTrafficTest, PerSeedStreamIsByteDeterministic) {
   ServingTrafficConfig sc = SmallTraffic();
