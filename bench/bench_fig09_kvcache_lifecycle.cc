@@ -4,6 +4,8 @@
 // and falls only once the waiting queue drains — the ramp-down phase that
 // marks the replica as a repack source.
 #include <cstdio>
+#include <functional>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
@@ -15,6 +17,27 @@
 
 namespace laminar {
 namespace {
+
+// Owns one PeriodicTask and routes its tick continuation to it.
+class Ticker : public ContinuationClient {
+ public:
+  static constexpr int32_t kComp = ContinuationComponentId(kContFamilySystem);
+
+  Ticker(Simulator* sim, double period, std::function<void()> body)
+      : sim_(sim), task_(sim, period, kComp, 0, std::move(body)) {
+    sim_->continuations().Register(kComp, this);
+  }
+  ~Ticker() override { sim_->continuations().Unregister(kComp); }
+
+  PeriodicTask& task() { return task_; }
+
+  void RunContinuation(uint16_t, const ContinuationPayload&) override { task_.Fire(); }
+  void RestoreContinuation(uint16_t, const ContinuationPayload&, SimTime) override {}
+
+ private:
+  Simulator* sim_;
+  PeriodicTask task_;
+};
 
 void Run() {
   Banner("Figure 9: KVCache utilization lifecycle (32B, TP=4, 512 trajectories)");
@@ -39,14 +62,14 @@ void Run() {
     int waiting;
   };
   std::vector<Sample> samples;
-  PeriodicTask sampler(&sim, 10.0, [&] {
+  Ticker sampler(&sim, 10.0, [&] {
     ReplicaSnapshot snap = replica.Snapshot();
     samples.push_back({sim.Now().seconds(), snap.kv_used_frac,
                        snap.num_reqs - snap.num_waiting, snap.num_waiting});
   });
-  sampler.Start();
+  sampler.task().Start();
   sim.RunUntilTrue([&] { return completed == 512; });
-  sampler.Stop();
+  sampler.task().Stop();
 
   Table table({"time (s)", "KV util", "active", "waiting", "phase"});
   double peak = 0.0;

@@ -51,6 +51,24 @@ void AnalyticSection() {
               "tiny coefficient (T_start) or grow only as O(sqrt(p)).\n");
 }
 
+// Kills relay 2 when its one scheduled continuation fires.
+class RelayKiller : public ContinuationClient {
+ public:
+  static constexpr int32_t kComp = ContinuationComponentId(kContFamilySystem);
+
+  RelayKiller(Simulator* sim, RelayTier* tier) : sim_(sim), tier_(tier) {
+    sim_->continuations().Register(kComp, this);
+  }
+  ~RelayKiller() override { sim_->continuations().Unregister(kComp); }
+
+  void RunContinuation(uint16_t, const ContinuationPayload&) override { tier_->KillRelay(2); }
+  void RestoreContinuation(uint16_t, const ContinuationPayload&, SimTime) override {}
+
+ private:
+  Simulator* sim_;
+  RelayTier* tier_;
+};
+
 void SimulatedSection() {
   Banner("Simulated relay tier: publish-to-last-relay latency + fault repair");
   Table table({"relays", "broadcast (s)", "after mid-broadcast failure (s)"});
@@ -62,9 +80,10 @@ void SimulatedSection() {
       cfg.weight_bytes = Qwen25_72B().weight_bytes();
       cfg.rdma_bandwidth = 100e9;
       RelayTier tier(&sim, cfg);
+      RelayKiller killer(&sim, &tier);
       tier.Publish(1);
       if (inject_fault) {
-        sim.ScheduleAfter(1.0, [&tier] { tier.KillRelay(2); });
+        sim.ScheduleContinuationAfter(1.0, RelayKiller::kComp, 0);
       }
       sim.RunUntilIdle();
       return tier.broadcast_seconds().max();

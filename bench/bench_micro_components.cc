@@ -16,16 +16,35 @@
 namespace laminar {
 namespace {
 
+// Counts its firings: the event-queue cases' continuation client.
+class CountingClient : public ContinuationClient {
+ public:
+  static constexpr int32_t kComp = ContinuationComponentId(kContFamilySystem);
+
+  explicit CountingClient(Simulator* sim) : sim_(sim) {
+    sim_->continuations().Register(kComp, this);
+  }
+  ~CountingClient() override { sim_->continuations().Unregister(kComp); }
+
+  void RunContinuation(uint16_t, const ContinuationPayload&) override { ++fired; }
+  void RestoreContinuation(uint16_t, const ContinuationPayload&, SimTime) override {}
+
+  int fired = 0;
+
+ private:
+  Simulator* sim_;
+};
+
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Simulator sim;
-    int fired = 0;
+    CountingClient client(&sim);
     for (int i = 0; i < n; ++i) {
-      sim.ScheduleAt(SimTime(static_cast<double>(i % 97)), [&fired] { ++fired; });
+      sim.ScheduleContinuationAt(SimTime(static_cast<double>(i % 97)), CountingClient::kComp, 0);
     }
     sim.RunUntilIdle();
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(client.fired);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -35,10 +54,11 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Simulator sim;
+    CountingClient client(&sim);
     std::vector<EventId> ids;
     ids.reserve(n);
     for (int i = 0; i < n; ++i) {
-      ids.push_back(sim.ScheduleAt(SimTime(1.0 + i), [] {}));
+      ids.push_back(sim.ScheduleContinuationAt(SimTime(1.0 + i), CountingClient::kComp, 0));
     }
     for (int i = 0; i < n; i += 2) {
       sim.Cancel(ids[i]);

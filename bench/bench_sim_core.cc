@@ -12,11 +12,13 @@
 //  * cancel-heavy    — 90% of scheduled events are cancelled before firing;
 //                      stresses tombstone reclamation in the heap.
 //  * periodic churn  — many PeriodicTasks ticking (repack checks,
-//                      heartbeats); stresses the rearm path.
+//                      heartbeats); each tick schedules the next.
+//
+// Every event is a continuation dispatched through the registry, the only
+// kind of event the simulator runs.
 #include "bench/bench_util.h"
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -39,15 +41,65 @@ struct Result {
   double seconds;
 };
 
+// Every event is a continuation, so each scenario's events dispatch to this
+// one registered client; the event kind picks the body.
+class Client : public ContinuationClient {
+ public:
+  static constexpr int32_t kComp = ContinuationComponentId(kContFamilySystem);
+  enum Kind : uint16_t {
+    kNoop,
+    kFire,   // schedule one successor
+    kWork,   // {a=slot}: schedule a successor, re-arm the slot's guard
+    kTick0,  // + task index: a PeriodicTask tick
+  };
+
+  Client(Simulator* sim, uint64_t seed) : sim_(sim), rng_(seed) {
+    sim_->continuations().Register(kComp, this);
+  }
+  ~Client() override { sim_->continuations().Unregister(kComp); }
+
+  EventId After(double lo, double hi, Kind kind, int64_t a = 0) {
+    return sim_->ScheduleContinuationAfter(rng_.Uniform(lo, hi), kComp, kind,
+                                           ContinuationPayload::Of(a));
+  }
+
+  void RunContinuation(uint16_t kind, const ContinuationPayload& p) override {
+    switch (kind) {
+      case kNoop:
+        return;
+      case kFire:
+        After(0.1, 10.0, kFire);
+        return;
+      case kWork: {
+        After(0.1, 5.0, kWork, p.a);
+        EventId& guard = guards[static_cast<size_t>(p.a)];
+        if (guard != kInvalidEventId) {
+          sim_->Cancel(guard);
+        }
+        guard = sim_->ScheduleContinuationAfter(1000.0, kComp, kNoop);
+        return;
+      }
+      default:
+        tasks[kind - kTick0]->Fire();
+    }
+  }
+  void RestoreContinuation(uint16_t, const ContinuationPayload&, SimTime) override {}
+
+  std::vector<EventId> guards;
+  std::vector<std::unique_ptr<PeriodicTask>> tasks;
+
+ private:
+  Simulator* sim_;
+  Rng rng_;
+};
+
 // Each fired event schedules exactly one successor, keeping `population`
 // events in flight at pseudo-random future times.
 Result ScheduleFire(uint64_t target_events, int population) {
   Simulator sim;
-  Rng rng(7);
-  std::function<void()> tick;
-  tick = [&] { sim.ScheduleAfter(rng.Uniform(0.1, 10.0), tick); };
+  Client client(&sim, 7);
   for (int i = 0; i < population; ++i) {
-    sim.ScheduleAfter(rng.Uniform(0.1, 10.0), tick);
+    client.After(0.1, 10.0, Client::kFire);
   }
   Clock::time_point start = Clock::now();
   sim.RunUntilIdle(target_events);
@@ -58,17 +110,10 @@ Result ScheduleFire(uint64_t target_events, int population) {
 // cancels the previous guard — one Cancel per fire, like heartbeat liveness.
 Result ScheduleCancel(uint64_t target_events, int population) {
   Simulator sim;
-  Rng rng(11);
-  std::vector<EventId> guards(static_cast<size_t>(population), kInvalidEventId);
-  std::function<void(int)> tick = [&](int slot) {
-    sim.ScheduleAfter(rng.Uniform(0.1, 5.0), [&tick, slot] { tick(slot); });
-    if (guards[slot] != kInvalidEventId) {
-      sim.Cancel(guards[slot]);
-    }
-    guards[slot] = sim.ScheduleAfter(1000.0, [] {});
-  };
+  Client client(&sim, 11);
+  client.guards.assign(static_cast<size_t>(population), kInvalidEventId);
   for (int i = 0; i < population; ++i) {
-    sim.ScheduleAfter(rng.Uniform(0.1, 5.0), [&tick, i] { tick(i); });
+    client.After(0.1, 5.0, Client::kWork, i);
   }
   Clock::time_point start = Clock::now();
   sim.RunUntilIdle(target_events);
@@ -79,7 +124,7 @@ Result ScheduleCancel(uint64_t target_events, int population) {
 // step through the survivors. Exercises tombstone skipping and slot reuse.
 Result CancelHeavy(uint64_t target_events) {
   Simulator sim;
-  Rng rng(13);
+  Client client(&sim, 13);
   uint64_t scheduled = 0;
   Clock::time_point start = Clock::now();
   std::vector<EventId> burst;
@@ -87,7 +132,7 @@ Result CancelHeavy(uint64_t target_events) {
   while (sim.executed_events() < target_events) {
     burst.clear();
     for (int i = 0; i < 1000; ++i) {
-      burst.push_back(sim.ScheduleAfter(rng.Uniform(0.1, 10.0), [] {}));
+      burst.push_back(client.After(0.1, 10.0, Client::kNoop));
       ++scheduled;
     }
     for (size_t i = 0; i < burst.size(); ++i) {
@@ -105,12 +150,13 @@ Result CancelHeavy(uint64_t target_events) {
 // Many periodic timers with coprime-ish periods ticking concurrently.
 Result PeriodicChurn(uint64_t target_events, int tasks) {
   Simulator sim;
+  Client client(&sim, 0);
   uint64_t ticks = 0;
-  std::vector<std::unique_ptr<PeriodicTask>> pool;
-  pool.reserve(static_cast<size_t>(tasks));
   for (int i = 0; i < tasks; ++i) {
-    pool.push_back(std::make_unique<PeriodicTask>(&sim, 0.37 + 0.01 * i, [&] { ++ticks; }));
-    pool.back()->Start();
+    client.tasks.push_back(std::make_unique<PeriodicTask>(
+        &sim, 0.37 + 0.01 * i, Client::kComp, static_cast<uint16_t>(Client::kTick0 + i),
+        [&] { ++ticks; }));
+    client.tasks.back()->Start();
   }
   Clock::time_point start = Clock::now();
   sim.RunUntilIdle(target_events);

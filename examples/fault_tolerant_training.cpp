@@ -34,24 +34,21 @@ int main(int argc, char** argv) {
   cfg.warmup_iterations = 0;
   cfg.measure_iterations = static_cast<int>(flags.GetInt("iters"));
 
+  // The trainer worker comes back from its checkpoint after 90 s.
+  cfg.chaos.trainer_recovery_seconds = 90.0;
+
   auto driver = MakeDriver(cfg);
   auto* system = static_cast<LaminarSystem*>(driver.get());
 
-  // The fault schedule: a rollout machine dies early, the master relay's
-  // machine dies mid-run, and a trainer worker crashes later.
-  system->sim().ScheduleAt(SimTime(60.0), [system] {
-    std::printf("t=60s     injecting: rollout machine 1 power loss\n");
-    system->heartbeats()->MarkDead(1);
-  });
-  system->sim().ScheduleAt(SimTime(250.0), [system] {
-    std::printf("t=250s    injecting: master relay machine failure (master=%d)\n",
-                system->relays()->master());
-    system->heartbeats()->MarkDead(system->relays()->master());
-  });
-  system->sim().ScheduleAt(SimTime(420.0), [system] {
-    std::printf("t=420s    injecting: trainer worker crash (checkpoint recovery)\n");
-    system->trainer().Kill(/*recovery_seconds=*/90.0);
-  });
+  // The fault schedule: a rollout machine dies early, the master relay dies
+  // mid-run, and a trainer worker crashes later. Scripted faults go through
+  // the same injector as the chaos engine's.
+  std::printf("t=60s     rollout machine 1 power loss\n"
+              "t=250s    master relay failure\n"
+              "t=420s    trainer worker crash (checkpoint recovery)\n");
+  system->ScheduleFault({60.0, FaultKind::kRolloutMachine, /*target=*/1});
+  system->ScheduleFault({250.0, FaultKind::kMasterRelay});
+  system->ScheduleFault({420.0, FaultKind::kTrainerWorker});
 
   SystemReport rep = driver->Run();
 

@@ -80,16 +80,11 @@ struct RlSystemConfig {
   // System-wide invariant auditing (independent of chaos_enabled, but chaos
   // runs should always arm it).
   bool invariants_enabled = false;
-  double invariant_sweep_period_seconds = 10.0;
-  int invariant_max_inherent_staleness = 0;  // 0 = unchecked
 
   // Per-trajectory ledger capture (src/verify differential oracles): when
   // enabled, every experience-buffer push is recorded and the ledger is
   // attached to the SystemReport.
   bool ledger_enabled = false;
-
-  // verl colocation switch cost between generation and training phases.
-  double colocate_switch_seconds = 6.0;
 
   // Structured tracing (src/trace). When enabled, the driver owns a
   // TraceSink, every subsystem emits into it, and the captured buffer is
@@ -110,9 +105,12 @@ struct RlSystemConfig {
   // component's state from this LMSNAP1 blob, re-mints the pending event heap
   // through the continuation registry and resumes — without replaying the
   // pre-barrier prefix. The restored run must be byte-identical (fingerprint,
-  // trace, ledger, re-snapshot blob) to a run that never stopped. The
-  // blob must carry a complete event heap (heap_complete; the Laminar driver
-  // guarantees it) and, if tracing is on, full-capture mode.
+  // trace, ledger, re-snapshot blob) to a run that never stopped. Every
+  // event of every driver is a continuation descriptor, so the blob's event
+  // heap is always complete (its heap_complete flag is always true). Direct
+  // boot is Laminar-only: the baselines do not serialize their orchestration
+  // state, and a baseline's boot aborts naming it. With tracing on, the blob
+  // must come from full-capture mode.
   std::shared_ptr<const std::string> restore_from;
   RestoreMode restore_mode = RestoreMode::kDirect;
 

@@ -15,10 +15,6 @@
 
 namespace laminar {
 
-namespace {
-constexpr int32_t kDriverComp = ContinuationComponentId(kContFamilyDriver);
-}  // namespace
-
 DriverBase::~DriverBase() { sim_.continuations().Unregister(kDriverComp); }
 
 void DriverBase::RunContinuation(uint16_t kind, const ContinuationPayload& p) {
@@ -64,8 +60,6 @@ DriverBase::DriverBase(RlSystemConfig config)
     machine_spec_.rdma_startup_latency *= inv;
     machine_spec_.gpu.host_overhead_scale *= inv;
     cfg_.repack_period_seconds *= inv;
-    cfg_.colocate_switch_seconds *= inv;
-    cfg_.invariant_sweep_period_seconds *= inv;
     cfg_.sample_period_seconds *= inv;
     cfg_.max_sim_seconds *= inv;
     cfg_.snapshot_at_seconds *= inv;
@@ -103,8 +97,7 @@ int DriverBase::NumRolloutMachines() const {
   return (gpus + machine_spec_.gpus_per_machine - 1) / machine_spec_.gpus_per_machine;
 }
 
-int DriverBase::ResolvedPerReplicaBatch(int num_replicas) const {
-  (void)num_replicas;
+int DriverBase::ResolvedPerReplicaBatch() const {
   int per = cfg_.per_replica_batch > 0 ? cfg_.per_replica_batch : cfg_.max_concurrency;
   // Whole GRPO groups only.
   per = per / cfg_.group_size * cfg_.group_size;
@@ -461,6 +454,11 @@ SystemReport DriverBase::AssembleReport(double wall_seconds) {
 }
 
 void DriverBase::AdoptSnapshot(const std::string& blob) {
+  // The baselines serialize their components but not their round or retry
+  // bookkeeping, so adopting them would abort or diverge mid-run.
+  LAMINAR_CHECK(cfg_.system == SystemKind::kLaminar)
+      << "direct boot supports the Laminar driver only, not "
+      << SystemKindName(cfg_.system);
   SnapshotReader reader;
   std::string error;
   LAMINAR_CHECK(reader.Parse(blob, &error)) << "restore_from blob: " << error;

@@ -28,11 +28,17 @@ class SnapshotTx;
 
 class DriverBase : public ContinuationClient {
  public:
-  // Continuation kinds owned by the driver itself (kContFamilyDriver). The
-  // registry dispatches by virtual call, so a subclass registered under its
-  // own component id still receives these through its override and delegates
-  // back here — the 0xF000 base keeps driver kinds disjoint from any
-  // subclass's kind space.
+  // Every event a driver schedules is a continuation descriptor (DESIGN.md
+  // §13), and every driver registers itself under this id. The registry
+  // dispatches by virtual call, so a subclass may schedule its own kinds
+  // (below 0xF000) under it and route them in its RunContinuation override,
+  // as the baselines do; a subclass registered under its own component id
+  // (the Laminar driver) still receives the driver kinds through its
+  // override and delegates back here.
+  static constexpr int32_t kDriverComp = ContinuationComponentId(kContFamilyDriver);
+
+  // Continuation kinds owned by the driver itself. The 0xF000 base keeps
+  // them disjoint from any subclass's kind space.
   enum Continuation : uint16_t {
     kContRateTick = 0xF000,  // periodic throughput/buffer-depth sampling
   };
@@ -104,7 +110,7 @@ class DriverBase : public ContinuationClient {
   double GlobalSyncSeconds() const;
 
   int NumRolloutMachines() const;
-  int ResolvedPerReplicaBatch(int num_replicas) const;
+  int ResolvedPerReplicaBatch() const;
   int64_t ResolvedBacklogCap() const;
   int RooflineBound() const;
 
@@ -166,7 +172,8 @@ class DriverBase : public ContinuationClient {
   // Direct-boot adoption: parses `blob`, walks SnapshotComponents in adopt
   // mode so every component seats its serialized state, then re-mints the
   // pending event heap through the continuation registry. CHECK-fails on a
-  // malformed blob or a non-reconstructible (closure) heap entry.
+  // baseline driver, and on a malformed blob, including an event_heap entry
+  // that names no component.
   void AdoptSnapshot(const std::string& blob);
 
   RunLedger ledger_;  // populated only when cfg_.ledger_enabled

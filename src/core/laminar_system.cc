@@ -9,6 +9,8 @@ namespace laminar {
 
 namespace {
 constexpr int32_t kSystemComp = ContinuationComponentId(kContFamilySystem);
+// Period of the invariant checker's ledger and KV-accounting sweep.
+constexpr double kInvariantSweepPeriodSeconds = 10.0;
 }  // namespace
 
 LaminarSystem::~LaminarSystem() { sim_.continuations().Unregister(kSystemComp); }
@@ -98,7 +100,7 @@ void LaminarSystem::Setup() {
   mgr_cfg.static_threshold_requests = cfg_.repack_static_threshold_requests;
   mgr_cfg.repack_period_seconds = cfg_.repack_period_seconds;
   mgr_cfg.repack.batch_bound = RooflineBound();
-  mgr_cfg.per_replica_batch = ResolvedPerReplicaBatch(num_replicas);
+  mgr_cfg.per_replica_batch = ResolvedPerReplicaBatch();
   mgr_cfg.backlog_cap = ResolvedBacklogCap();
   mgr_cfg.machine_replacement_seconds *= TimeScale();
   mgr_cfg.replica_init_seconds *= TimeScale();
@@ -254,9 +256,7 @@ void LaminarSystem::Setup() {
   pending_faults_.clear();
 
   if (cfg_.invariants_enabled) {
-    InvariantCheckerConfig ic;
-    ic.max_inherent_staleness = cfg_.invariant_max_inherent_staleness;
-    invariants_ = std::make_unique<InvariantChecker>(&sim_, ic);
+    invariants_ = std::make_unique<InvariantChecker>(&sim_);
     invariants_->set_issued_fn([this] { return prompts_->trajectories_issued(); });
     invariants_->set_inflight_fn([this] { return manager_->inflight_trajectories(); });
     invariants_->set_pool(&partial_pool_);
@@ -283,7 +283,7 @@ void LaminarSystem::Setup() {
     // pointer here routes every buffer push through the checker.
     invariant_checker_ = invariants_.get();
     invariant_sweep_ = std::make_unique<PeriodicTask>(
-        &sim_, cfg_.invariant_sweep_period_seconds, kSystemComp, kContInvariantSweep,
+        &sim_, kInvariantSweepPeriodSeconds * TimeScale(), kSystemComp, kContInvariantSweep,
         [this] { invariants_->CheckSweep(); });
   }
 }

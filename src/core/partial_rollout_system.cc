@@ -4,11 +4,22 @@
 
 namespace laminar {
 
+void PartialRolloutSystem::RunContinuation(uint16_t kind, const ContinuationPayload& p) {
+  switch (kind) {
+    case kContResume:
+      ResumeAll(static_cast<int>(p.a));
+      return;
+    case kContRetryTick:
+      retry_task_->Fire();
+      return;
+  }
+  DriverBase::RunContinuation(kind, p);
+}
+
 void PartialRolloutSystem::Setup() {
   LAMINAR_CHECK(!placement_.colocated);
-  int num_replicas = placement_.rollout_gpus / rollout_tp_;
-  BuildReplicas(num_replicas, rollout_tp_);
-  per_replica_batch_ = ResolvedPerReplicaBatch(num_replicas);
+  BuildReplicas(placement_.rollout_gpus / rollout_tp_, rollout_tp_);
+  per_replica_batch_ = ResolvedPerReplicaBatch();
   BuildTrainer(TrainerMode::kFullBatch, /*auto_continue=*/true, TrainBackend::kMegatron);
 
   // Publication = partial rollout: interrupt everyone, GPU-direct broadcast,
@@ -23,21 +34,24 @@ void PartialRolloutSystem::Setup() {
       rollout_wait_seconds_.Add(sync);
       r->Pause();
     }
-    sim_.ScheduleAfter(sync, [this, version] {
-      for (RolloutReplica* r : replica_ptrs_) {
-        if (r->phase() == ReplicaPhase::kPaused) {
-          r->Resume(version, /*recompute_kv=*/true);
-        }
-      }
-    });
+    sim_.ScheduleContinuationAfter(sync, kDriverComp, kContResume,
+                                   ContinuationPayload::Of(version));
     return sync;
   });
 
   for (RolloutReplica* r : replica_ptrs_) {
     r->set_on_batch_done([this](RolloutReplica* replica) { FeedReplica(replica); });
   }
-  retry_task_ =
-      std::make_unique<PeriodicTask>(&sim_, 5.0 * TimeScale(), [this] { RetryStarved(); });
+  retry_task_ = std::make_unique<PeriodicTask>(&sim_, 5.0 * TimeScale(), kDriverComp,
+                                               kContRetryTick, [this] { RetryStarved(); });
+}
+
+void PartialRolloutSystem::ResumeAll(int version) {
+  for (RolloutReplica* r : replica_ptrs_) {
+    if (r->phase() == ReplicaPhase::kPaused) {
+      r->Resume(version, /*recompute_kv=*/true);
+    }
+  }
 }
 
 void PartialRolloutSystem::FeedReplica(RolloutReplica* replica) {

@@ -17,6 +17,12 @@ namespace laminar {
 
 class PartialRolloutSystem : public DriverBase {
  public:
+  // Continuation kinds, scheduled under the driver's own registration.
+  enum Continuation : uint16_t {
+    kContResume = 0,     // post-sync resume under the new weights: {a=version}
+    kContRetryTick = 1,  // periodic retry of replicas starved by the backlog cap
+  };
+
   explicit PartialRolloutSystem(RlSystemConfig config) : DriverBase(std::move(config)) {
     // AReaL trains with its decoupled-PPO correction by default.
     if (cfg_.algorithm == RlAlgorithm::kGrpo) {
@@ -24,12 +30,15 @@ class PartialRolloutSystem : public DriverBase {
     }
   }
 
+  void RunContinuation(uint16_t kind, const ContinuationPayload& p) override;
+
  protected:
   void Setup() override;
   void Begin() override;
 
  private:
   void FeedReplica(RolloutReplica* replica);
+  void ResumeAll(int version);
   void RetryStarved();
 
   int per_replica_batch_ = 0;

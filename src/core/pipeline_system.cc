@@ -4,6 +4,14 @@
 
 namespace laminar {
 
+void PipelineSystem::RunContinuation(uint16_t kind, const ContinuationPayload& p) {
+  if (kind == kContNextRound) {
+    NextRound();
+    return;
+  }
+  DriverBase::RunContinuation(kind, p);
+}
+
 void PipelineSystem::Setup() {
   LAMINAR_CHECK(!placement_.colocated);
   int num_replicas = placement_.rollout_gpus / rollout_tp_;
@@ -95,13 +103,15 @@ void PipelineSystem::EndRound() {
     }
     other_phase_seconds_ += sync;
   }
-  sim_.ScheduleAfter(sync, [this] {
-    for (RolloutReplica* r : replica_ptrs_) {
-      r->SetWeightVersion(trainer_->version());
-    }
-    ++round_;
-    StartRound();
-  });
+  sim_.ScheduleContinuationAfter(sync, kDriverComp, kContNextRound);
+}
+
+void PipelineSystem::NextRound() {
+  for (RolloutReplica* r : replica_ptrs_) {
+    r->SetWeightVersion(trainer_->version());
+  }
+  ++round_;
+  StartRound();
 }
 
 }  // namespace laminar

@@ -18,7 +18,14 @@ namespace laminar {
 
 class PipelineSystem : public DriverBase {
  public:
+  // Continuation kind, scheduled under the driver's own registration.
+  enum Continuation : uint16_t {
+    kContNextRound = 0,  // global weight sync done: adopt the version, start a round
+  };
+
   explicit PipelineSystem(RlSystemConfig config) : DriverBase(std::move(config)) {}
+
+  void RunContinuation(uint16_t kind, const ContinuationPayload& p) override;
 
  protected:
   void Setup() override;
@@ -31,6 +38,7 @@ class PipelineSystem : public DriverBase {
   void OnReplicaBatchDone();
   void MaybeEndRound();
   void EndRound();
+  void NextRound();
 
   int round_ = 0;
   int outstanding_replicas_ = 0;

@@ -4,6 +4,11 @@
 
 namespace laminar {
 
+namespace {
+// verl's colocation switch cost between the generation and training phases.
+constexpr double kColocateSwitchSeconds = 6.0;
+}  // namespace
+
 void SyncSystem::Setup() {
   LAMINAR_CHECK(placement_.colocated);
   int num_replicas = placement_.total_gpus / rollout_tp_;
@@ -16,7 +21,7 @@ void SyncSystem::Setup() {
   // Both HybridEngine switches (train->rollout and rollout->train) stall the
   // whole cluster; we bill them with the publish step.
   trainer_->set_publish_fn([this](int /*version*/) {
-    double stall = 2.0 * cfg_.colocate_switch_seconds;
+    double stall = 2.0 * (kColocateSwitchSeconds * TimeScale());
     other_phase_seconds_ += stall;
     actor_stall_seconds_.Add(stall);
     return stall;

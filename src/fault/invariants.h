@@ -11,11 +11,10 @@
 //  3. KVCache token conservation: each replica's kv_used_tokens accounting
 //     equals the sum of context tokens of its cache-resident work.
 //  4. Staleness sanity: inherent staleness of every buffered record is
-//     non-negative and (optionally) within a configured bound.
+//     non-negative.
 //
-// Violations are recorded (or check-fail under fail_fast) with the sim time
-// and a description, so a chaos seed that breaks an invariant is directly
-// replayable.
+// Violations are recorded with the sim time and a description, so a chaos
+// seed that breaks an invariant is directly replayable.
 #ifndef LAMINAR_SRC_FAULT_INVARIANTS_H_
 #define LAMINAR_SRC_FAULT_INVARIANTS_H_
 
@@ -34,19 +33,6 @@ namespace laminar {
 
 class SnapshotTx;
 
-struct InvariantCheckerConfig {
-  // Tolerance for the per-replica KV token conservation check. Token counts
-  // are integer-valued doubles, so anything below 1 means "exact".
-  double kv_epsilon_tokens = 0.5;
-  // 0 = unchecked; otherwise every buffered record's inherent staleness must
-  // be <= this bound.
-  int max_inherent_staleness = 0;
-  // Check-fail on the first violation instead of recording it.
-  bool fail_fast = false;
-  // Recorded violation strings are capped (the count keeps increasing).
-  size_t max_recorded_violations = 64;
-};
-
 // Serving-tier counters sampled for the admission-conservation audit
 // (DESIGN.md §14). Populated by a driver-provided callback so the checker
 // stays decoupled from the rollout manager.
@@ -64,7 +50,7 @@ struct ServingCounts {
 
 class InvariantChecker {
  public:
-  InvariantChecker(Simulator* sim, InvariantCheckerConfig config);
+  explicit InvariantChecker(Simulator* sim);
 
   // Wiring -------------------------------------------------------------------
   // Total trajectories the prompt pool has handed out.
@@ -107,7 +93,6 @@ class InvariantChecker {
   void Report(const std::string& what);
 
   Simulator* sim_;
-  InvariantCheckerConfig config_;
   std::function<int64_t()> issued_fn_;
   std::function<int64_t()> inflight_fn_;
   std::function<ServingCounts()> serving_fn_;

@@ -1,20 +1,17 @@
 // Reconstructible event continuations (DESIGN.md §13).
 //
-// The event heap historically stored type-erased closures, which made every
-// pending event opaque: a snapshot could only digest the heap and a restore
-// had to re-simulate the whole prefix to rebuild it (replay-anchored
-// recovery). This header is the data-only replacement: a scheduling
-// component registers itself under a stable component id and schedules
-// (component_id, kind, payload) descriptors instead of lambdas. The
-// simulator stores the descriptor in the event slot, dispatches it through
-// the registry when the event fires, and — because the descriptor is plain
-// data — serializes the live heap into the LMSNAP1 v2 `event_heap` section
-// so a restore can re-mint every pending event directly from the blob.
+// Every simulator event is data: a scheduling component registers itself
+// under a stable component id and schedules (component_id, kind, payload)
+// descriptors. The simulator stores the descriptor in the event slot,
+// dispatches it through the registry when the event fires, and — because
+// the descriptor is plain data — serializes the live heap into the LMSNAP1
+// `event_heap` section so a restore can re-mint every pending event directly
+// from the blob.
 //
 // Components implement two entry points:
 //
-//   RunContinuation(kind, payload)          — the event fired; execute the
-//                                             body the old lambda ran.
+//   RunContinuation(kind, payload)          — the event fired; run its
+//                                             body.
 //   RestoreContinuation(kind, payload, at)  — a snapshot adoption replays
 //                                             this pending event; re-schedule
 //                                             it at `at` through the usual
@@ -53,10 +50,8 @@ struct ContinuationPayload {
   static double ToF64(int64_t v) { return std::bit_cast<double>(v); }
 };
 
-// What an event slot stores instead of a closure: who runs it and with what
-// arguments. comp < 0 means "legacy closure event" (tests and transient
-// scaffolding); such events execute normally but poison direct-boot restore
-// of the heap they sit in.
+// What an event slot stores: who runs it and with what arguments. Every
+// scheduled event names a registered component (comp >= 0).
 struct ContinuationDesc {
   int32_t comp = -1;
   uint16_t kind = 0;
@@ -67,14 +62,14 @@ struct ContinuationDesc {
 // set of scheduling components; instance is the replica id for per-replica
 // clients and 0 elsewhere.
 enum ContinuationFamily : int32_t {
-  kContFamilySystem = 0,     // system driver (Laminar/Pipeline/Partial)
+  kContFamilySystem = 0,     // Laminar system driver
   kContFamilyTrainer = 1,
   kContFamilyRelayTier = 2,
   kContFamilyManager = 3,
   kContFamilyHeartbeat = 4,
   kContFamilyInjector = 5,
   kContFamilyReplica = 6,    // instance = replica id
-  kContFamilyDriver = 7,     // DriverBase (rate sampler tick)
+  kContFamilyDriver = 7,     // DriverBase: rate sampler tick, baseline kinds
   kContFamilyCount = 8,
 };
 

@@ -27,7 +27,7 @@ uint32_t Simulator::AllocSlot() {
     free_slots_.pop_back();
     return slot;
   }
-  LAMINAR_CHECK_LT(slots_.size(), static_cast<size_t>(kNoCurrent))
+  LAMINAR_CHECK_LT(slots_.size(), static_cast<size_t>(UINT32_MAX))
       << "event slab exhausted";
   slots_.emplace_back();
   return static_cast<uint32_t>(slots_.size() - 1);
@@ -35,14 +35,10 @@ uint32_t Simulator::AllocSlot() {
 
 void Simulator::RetireSlot(uint32_t slot) {
   Slot& s = slots_[slot];
-  if (s.fn) {
-    s.fn = nullptr;  // skip the std::function reset churn for descriptor events
-  }
-  s.desc.comp = -1;
   if (++s.generation == 0) {
     s.generation = 1;  // keep packed ids nonzero and unambiguous
   }
-  s.state = SlotState::kFree;
+  s.pending = false;
   free_slots_.push_back(slot);
 }
 
@@ -129,36 +125,18 @@ void Simulator::PushHeap(SimTime t, uint32_t slot, uint32_t generation) {
   HeapSiftUp(heap_keys_.size() - 1);
 }
 
-uint32_t Simulator::ScheduleSlot(SimTime t) {
+EventId Simulator::ScheduleContinuationAt(SimTime t, int32_t comp, uint16_t kind,
+                                          const ContinuationPayload& payload) {
   // The one causality check of the engine, shared by every schedule path.
   LAMINAR_CHECK(t >= now_) << "scheduling into the past: " << t.seconds() << " < "
                            << now_.seconds();
+  LAMINAR_CHECK_GE(comp, 0);
   uint32_t slot = AllocSlot();
   Slot& s = slots_[slot];
-  s.state = SlotState::kPending;
+  s.desc = ContinuationDesc{comp, kind, payload};
+  s.pending = true;
   PushHeap(t, slot, s.generation);
   ++live_;
-  return slot;
-}
-
-EventId Simulator::ScheduleAt(SimTime t, std::function<void()> fn) {
-  uint32_t slot = ScheduleSlot(t);
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  return Pack(slot, s.generation);
-}
-
-EventId Simulator::ScheduleAfter(double delay, std::function<void()> fn) {
-  LAMINAR_CHECK(delay >= 0.0) << "negative delay " << delay;
-  return ScheduleAt(now_ + delay, std::move(fn));
-}
-
-EventId Simulator::ScheduleContinuationAt(SimTime t, int32_t comp, uint16_t kind,
-                                          const ContinuationPayload& payload) {
-  LAMINAR_CHECK_GE(comp, 0);
-  uint32_t slot = ScheduleSlot(t);
-  Slot& s = slots_[slot];
-  s.desc = ContinuationDesc{comp, kind, payload};
   return Pack(slot, s.generation);
 }
 
@@ -168,48 +146,20 @@ EventId Simulator::ScheduleContinuationAfter(double delay, int32_t comp, uint16_
   return ScheduleContinuationAt(now_ + delay, comp, kind, payload);
 }
 
-EventId Simulator::RearmCurrentAfter(double delay) {
-  LAMINAR_CHECK(current_ != kNoCurrent) << "RearmCurrentAfter outside an event callback";
-  LAMINAR_CHECK(delay >= 0.0) << "negative delay " << delay;
-  Slot& s = slots_[current_];
-  LAMINAR_CHECK(s.state == SlotState::kExecuting) << "current event already re-armed";
-  if (++s.generation == 0) {
-    s.generation = 1;
-  }
-  s.state = SlotState::kRearmed;
-  PushHeap(now_ + delay, current_, s.generation);
-  ++live_;
-  return Pack(current_, s.generation);
-}
-
 bool Simulator::Cancel(EventId id) {
   uint32_t slot = SlotOf(id);
   if (slot >= slots_.size()) {
     return false;
   }
-  Slot& s = slots_[slot];
-  if (s.generation != GenerationOf(id)) {
+  const Slot& s = slots_[slot];
+  if (s.generation != GenerationOf(id) || !s.pending) {
     return false;
   }
-  if (s.state == SlotState::kPending) {
-    RetireSlot(slot);
-    --live_;
-    ++tombstones_;
-    MaybeCompactHeap();
-    return true;
-  }
-  if (s.state == SlotState::kRearmed) {
-    // Cancelled from inside its own callback; the closure is out on loan to
-    // Step(), so just undo the re-arm and let Step() retire the slot.
-    if (++s.generation == 0) {
-      s.generation = 1;
-    }
-    s.state = SlotState::kExecuting;
-    --live_;
-    ++tombstones_;
-    return true;
-  }
-  return false;
+  RetireSlot(slot);
+  --live_;
+  ++tombstones_;
+  MaybeCompactHeap();
+  return true;
 }
 
 void Simulator::PruneStaleTop() {
@@ -251,37 +201,14 @@ bool Simulator::Step() {
       --tombstones_;
       continue;
     }
-    Slot& s = slots_[m.slot];
-    s.state = SlotState::kExecuting;
-    // Run the body from locals: the callback may schedule events that grow
-    // the slab (invalidating `s`), cancel its own re-arm, or be the
-    // closure's only owner. Descriptor events copy 40 bytes of POD instead
-    // of moving a closure.
-    const ContinuationDesc desc = s.desc;
-    std::function<void()> fn;
-    if (desc.comp < 0) {
-      fn = std::move(s.fn);
-    }
+    // Copy the descriptor out and retire the slot before dispatch: the body
+    // may schedule events that grow the slab or reuse this very slot.
+    const ContinuationDesc desc = slots_[m.slot].desc;
+    RetireSlot(m.slot);
     now_ = SimTime(t);
     ++executed_;
     --live_;
-    uint32_t prev_current = current_;
-    current_ = m.slot;
-    if (desc.comp >= 0) {
-      registry_.Run(desc.comp, desc.kind, desc.payload);
-    } else {
-      fn();
-    }
-    current_ = prev_current;
-    Slot& after = slots_[m.slot];
-    if (after.state == SlotState::kRearmed) {
-      if (desc.comp < 0) {
-        after.fn = std::move(fn);  // hand the closure back for the next firing
-      }
-      after.state = SlotState::kPending;
-    } else {
-      RetireSlot(m.slot);
-    }
+    registry_.Run(desc.comp, desc.kind, desc.payload);
     return true;
   }
   return false;
@@ -375,16 +302,10 @@ void Simulator::Snapshot(SnapshotTx& tx) {
   };
   std::vector<Entry> entries;
   entries.reserve(live_);
-  bool complete = true;
   for (size_t i = 0; i < heap_meta_.size(); ++i) {
     const HeapMeta& m = heap_meta_[i];
-    if (!Live(m)) {
-      continue;
-    }
-    const Slot& s = slots_[m.slot];
-    entries.push_back(Entry{heap_keys_[i], m.seq, s.desc});
-    if (s.desc.comp < 0) {
-      complete = false;
+    if (Live(m)) {
+      entries.push_back(Entry{heap_keys_[i], m.seq, slots_[m.slot].desc});
     }
   }
   LAMINAR_CHECK_EQ(entries.size(), live_);
@@ -393,8 +314,10 @@ void Simulator::Snapshot(SnapshotTx& tx) {
   });
   uint64_t live_u = static_cast<uint64_t>(live_);
   tx.U64("live_events", &live_u);
-  bool complete_b = complete;
-  tx.Bool("heap_complete", &complete_b);
+  // Every event is a descriptor, so the heap always serializes whole. The
+  // flag stays in the v3 layout, always true.
+  bool complete = true;
+  tx.Bool("heap_complete", &complete);
   std::string packed;
   packed.reserve(entries.size() * kHeapEntryBytes);
   for (const Entry& e : entries) {
@@ -431,16 +354,10 @@ void Simulator::RemintRestoredEvents() {
   restored_.clear();
   for (const RestoredEvent& e : entries) {
     LAMINAR_CHECK_GE(e.desc.comp, 0)
-        << "snapshot contains a non-reconstructible (closure) event; "
-           "direct-boot restore requires continuation descriptors";
+        << "snapshot event_heap entry names no component; the blob is malformed";
     registry_.Require(e.desc.comp)
         .RestoreContinuation(e.desc.kind, e.desc.payload, SimTime(KeyTime(e.key)));
   }
-}
-
-PeriodicTask::PeriodicTask(Simulator* sim, double period, std::function<void()> fn)
-    : sim_(sim), period_(period), fn_(std::move(fn)) {
-  LAMINAR_CHECK_GT(period_, 0.0);
 }
 
 PeriodicTask::PeriodicTask(Simulator* sim, double period, int32_t comp, uint16_t kind,
@@ -457,13 +374,10 @@ void PeriodicTask::Start() {
     return;
   }
   running_ = true;
-  pending_ = comp_ >= 0
-                 ? sim_->ScheduleContinuationAfter(period_, comp_, kind_)
-                 : sim_->ScheduleAfter(period_, [this] { Tick(); });
+  pending_ = sim_->ScheduleContinuationAfter(period_, comp_, kind_);
 }
 
 void PeriodicTask::RestorePending(SimTime at) {
-  LAMINAR_CHECK_GE(comp_, 0) << "RestorePending on a closure-based PeriodicTask";
   if (pending_ != kInvalidEventId) {
     sim_->Cancel(pending_);
   }
@@ -488,10 +402,10 @@ void PeriodicTask::Tick() {
     return;
   }
   fn_();
-  // Re-arm the event record in place unless the callback stopped the task or
-  // restarted it (Start() inside fn_ schedules its own fresh event).
+  // Schedule the next tick unless the callback stopped the task or restarted
+  // it (Start() inside fn_ schedules its own fresh event).
   if (running_ && pending_ == kInvalidEventId) {
-    pending_ = sim_->RearmCurrentAfter(period_);
+    pending_ = sim_->ScheduleContinuationAfter(period_, comp_, kind_);
   }
 }
 

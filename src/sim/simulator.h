@@ -1,17 +1,19 @@
 // Discrete-event simulation engine.
 //
 // The simulator owns a virtual clock and a priority queue of scheduled
-// callbacks. Events at equal timestamps execute in scheduling order, which —
-// combined with the deterministic Rng streams (common/rng.h) — makes every
-// run bit-reproducible.
+// continuations: every event is a (component, kind, payload) descriptor
+// dispatched through the continuation registry (src/sim/continuation.h).
+// Events at equal timestamps execute in scheduling order, which — combined
+// with the deterministic Rng streams (common/rng.h) — makes every run
+// bit-reproducible.
 //
 // Internals (DESIGN.md "Simulation engine internals"): event records live in
 // a slab pool indexed by a 32-bit slot with a 32-bit generation tag packed
 // into the EventId, so Cancel()/IsPending() are O(1) array probes with no
 // hashing. The heap is ordered by (time, seq), where seq is one counter
-// bumped by every schedule, re-arm and restore re-mint. Cancellation is lazy
-// — the heap entry stays behind as a tombstone that Step() skips when popped,
-// and the heap is compacted when tombstones outnumber live entries.
+// bumped by every schedule and restore re-mint. Cancellation is lazy — the
+// heap entry stays behind as a tombstone that Step() skips when popped, and
+// the heap is compacted when tombstones outnumber live entries.
 #ifndef LAMINAR_SRC_SIM_SIMULATOR_H_
 #define LAMINAR_SRC_SIM_SIMULATOR_H_
 
@@ -40,19 +42,15 @@ class Simulator {
 
   SimTime Now() const { return now_; }
 
-  // Schedules `fn` to run at absolute time `t` (>= Now()). Returns an id that
-  // can be passed to Cancel() until the event fires.
-  EventId ScheduleAt(SimTime t, std::function<void()> fn);
-  // Schedules `fn` after `delay` seconds (>= 0).
-  EventId ScheduleAfter(double delay, std::function<void()> fn);
-
-  // Data-only scheduling (DESIGN.md §13): instead of a closure the event
-  // stores a (component, kind, payload) descriptor dispatched through the
-  // continuation registry when it fires. Descriptor events serialize into
-  // the snapshot's event_heap section, which is what makes direct-boot
-  // restore possible; persistent scheduling paths must use these overloads.
+  // Schedules the continuation (comp, kind, payload) to run at absolute time
+  // `t` (>= Now()): when the event fires, the registry dispatches it to the
+  // client registered under `comp` (DESIGN.md §13). Every event is such a
+  // descriptor, which is what lets the live heap serialize into the
+  // snapshot's event_heap section. Returns an id that can be passed to
+  // Cancel() until the event fires.
   EventId ScheduleContinuationAt(SimTime t, int32_t comp, uint16_t kind,
                                  const ContinuationPayload& payload = {});
+  // Same, `delay` seconds (>= 0) from now.
   EventId ScheduleContinuationAfter(double delay, int32_t comp, uint16_t kind,
                                     const ContinuationPayload& payload = {});
 
@@ -60,12 +58,6 @@ class Simulator {
   // Setup, before any descriptor event fires or is restored).
   ContinuationRegistry& continuations() { return registry_; }
   const ContinuationRegistry& continuations() const { return registry_; }
-
-  // Re-schedules the event whose callback is currently executing to fire
-  // again after `delay` seconds, reusing its stored closure — no new
-  // std::function is constructed. Only valid inside an event callback.
-  // Returns the id of the re-armed event (cancellable like any other).
-  EventId RearmCurrentAfter(double delay);
 
   // Cancels a pending event. Returns true if the event was still pending.
   bool Cancel(EventId id);
@@ -75,8 +67,7 @@ class Simulator {
       return false;
     }
     const Slot& s = slots_[slot];
-    return s.generation == GenerationOf(id) &&
-           (s.state == SlotState::kPending || s.state == SlotState::kRearmed);
+    return s.generation == GenerationOf(id) && s.pending;
   }
 
   // Executes the next pending event, advancing the clock. Returns false if
@@ -126,23 +117,20 @@ class Simulator {
   // registry in canonical order, so each takes a fresh sequence number in
   // the order the blob lists them — which reproduces exactly the
   // (time, seq) comparisons an uninterrupted run leaves in the heap.
-  // CHECK-fails if the blob contained a non-reconstructible (closure) event.
+  // CHECK-fails on an entry naming a negative component, which no schedule
+  // can produce: the blob is malformed.
   void RemintRestoredEvents();
 
  private:
-  enum class SlotState : uint8_t {
-    kFree,       // on the free list
-    kPending,    // scheduled, heap entry live
-    kExecuting,  // callback running right now (closure moved out)
-    kRearmed,    // re-scheduled from inside its own callback
-  };
-
+  // One event record: the descriptor it dispatches, the generation its
+  // EventId must carry, and whether it is scheduled (heap entry live) or on
+  // the free list.
   struct Slot {
-    std::function<void()> fn;
-    ContinuationDesc desc;  // comp >= 0: data-only event, fn unused
+    ContinuationDesc desc;
     uint32_t generation = 1;
-    SlotState state = SlotState::kFree;
+    bool pending = false;
   };
+  static_assert(sizeof(Slot) == 48, "an event slot should stay 6 words");
 
   // One live heap entry read back from a snapshot, awaiting re-mint.
   struct RestoredEvent {
@@ -164,8 +152,6 @@ class Simulator {
   };
   static_assert(sizeof(HeapMeta) == 16, "heap metadata should stay 2 words");
 
-  static constexpr uint32_t kNoCurrent = UINT32_MAX;
-
   static uint32_t SlotOf(EventId id) { return static_cast<uint32_t>(id); }
   static uint32_t GenerationOf(EventId id) { return static_cast<uint32_t>(id >> 32); }
   static EventId Pack(uint32_t slot, uint32_t generation) {
@@ -186,19 +172,12 @@ class Simulator {
   }
 
   // A heap entry is live iff its (slot, generation) still names a scheduled
-  // event; anything else is a tombstone left behind by Cancel(). kRearmed
-  // counts: its heap entry is the future firing, and compaction must keep it
-  // even while the current callback is still on the stack.
+  // event; anything else is a tombstone left behind by Cancel().
   bool Live(const HeapMeta& m) const {
     const Slot& s = slots_[m.slot];
-    return s.generation == m.generation &&
-           (s.state == SlotState::kPending || s.state == SlotState::kRearmed);
+    return s.generation == m.generation && s.pending;
   }
 
-  // Claims a pending slot for an event at `t` and pushes its heap entry
-  // under the next sequence number; the caller fills in the closure or
-  // descriptor.
-  uint32_t ScheduleSlot(SimTime t);
   uint32_t AllocSlot();
   void RetireSlot(uint32_t slot);
   void PushHeap(SimTime t, uint32_t slot, uint32_t generation);
@@ -213,10 +192,9 @@ class Simulator {
   void MaybeCompactHeap();
 
   SimTime now_ = SimTime::Zero();
-  uint32_t current_ = kNoCurrent;  // slot whose callback is running
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
-  size_t live_ = 0;        // pending + rearmed events
+  size_t live_ = 0;        // pending events
   size_t tombstones_ = 0;  // stale entries still in the heap
   std::vector<uint64_t> heap_keys_;
   std::vector<HeapMeta> heap_meta_;
@@ -229,16 +207,13 @@ class Simulator {
 
 // A repeating timer: runs `fn` every `period` seconds starting at
 // `start + period` until Stop() or the owner is destroyed. Used for
-// heartbeats and the rollout manager's periodic repack check. Each tick
-// re-arms the simulator's stored event record in place (RearmCurrentAfter),
-// so steady-state ticking allocates nothing.
+// heartbeats and the rollout manager's periodic repack check. Each tick is a
+// continuation event carrying (comp, kind): the owning component's
+// RunContinuation must route that kind to Fire(), and after the body runs
+// the tick schedules the next one. The pending tick serializes into the
+// event_heap section and comes back through RestorePending() on direct boot.
 class PeriodicTask {
  public:
-  PeriodicTask(Simulator* sim, double period, std::function<void()> fn);
-  // Reconstructible variant: the tick event carries (comp, kind) and the
-  // owning component's RunContinuation must route that kind to Fire(). Such
-  // tasks serialize their pending tick into the event_heap section and
-  // support RestorePending() on direct boot.
   PeriodicTask(Simulator* sim, double period, int32_t comp, uint16_t kind,
                std::function<void()> fn);
   ~PeriodicTask();
@@ -262,8 +237,8 @@ class PeriodicTask {
 
   Simulator* sim_;
   double period_;
-  int32_t comp_ = -1;
-  uint16_t kind_ = 0;
+  int32_t comp_;
+  uint16_t kind_;
   std::function<void()> fn_;
   EventId pending_ = kInvalidEventId;
   bool running_ = false;

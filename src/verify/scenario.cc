@@ -1,8 +1,10 @@
 #include "src/verify/scenario.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -18,6 +20,45 @@ namespace {
 // window: far above any drill's need, far below a schedule that exhausts
 // memory.
 constexpr double kMaxExpectedFaults = 1.0e6;
+
+// Upper bound on the serving tier's expected peak arrivals over the run
+// cap: GenerateScenario draws at most ~1.1e6 (3/s at amplitude 0.8 over
+// 200,000 s), and a rate far past this allocates until memory runs out.
+constexpr double kMaxExpectedServingArrivals = 1.0e7;
+
+// The one conversion every integer scenario key parses through: `num` must
+// be integral and inside [lo, hi], by default the range of the field's type,
+// because casting anything else is undefined behaviour.
+template <typename T>
+bool IntegerKey(const std::string& key, const std::string& value, double num, T* field,
+                std::string* error, T lo = std::numeric_limits<T>::min(),
+                T hi = std::numeric_limits<T>::max()) {
+  // `hi + 1.0` is exact for int and rounds to 2^63 for int64_t, so the
+  // upper test is exact for both; NaN fails every comparison.
+  if (!(num >= static_cast<double>(lo) && num < static_cast<double>(hi) + 1.0) ||
+      num != std::trunc(num)) {
+    *error = "key '" + key + "' takes an integer in [" + std::to_string(lo) + ", " +
+             std::to_string(hi) + "], got '" + value + "'";
+    return false;
+  }
+  *field = static_cast<T>(num);
+  return true;
+}
+
+// Seeds are full 64-bit values, so they parse as decimal digits, not
+// through strtod.
+bool SeedKey(const std::string& key, const std::string& value, uint64_t* field,
+             std::string* error) {
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+  if (value.empty() || value[0] < '0' || value[0] > '9' || *end != '\0' || errno == ERANGE) {
+    *error = "key '" + key + "' takes a decimal integer, got '" + value + "'";
+    return false;
+  }
+  *field = v;
+  return true;
+}
 
 // Arms one chaos class: Bernoulli gate, then a log-uniform rate so the
 // schedule mixes quiet and violent classes.
@@ -355,8 +396,14 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
     double num = std::strtod(value.c_str(), &end);
     bool numeric = end != nullptr && *end == '\0' && !value.empty();
     auto need_num = [&]() { return numeric; };
+    std::string bad;
+    bool ok = true;
     if (key == "seed") {
-      scn.seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = SeedKey(key, value, &scn.seed, &bad);
+    } else if (key == "chaos_seed") {
+      ok = SeedKey(key, value, &cfg.chaos_seed, &bad);
+    } else if (key == "config_seed") {
+      ok = SeedKey(key, value, &cfg.seed, &bad);
     } else if (key == "scale") {
       if (value == "7b") {
         cfg.scale = ModelScale::k7B;
@@ -388,21 +435,21 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
     } else if (!need_num()) {
       return fail("key '" + key + "': non-numeric value '" + value + "'");
     } else if (key == "train_gpus") {
-      cfg.train_gpus = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &cfg.train_gpus, &bad);
     } else if (key == "rollout_gpus") {
-      cfg.rollout_gpus = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &cfg.rollout_gpus, &bad);
     } else if (key == "global_batch") {
-      cfg.global_batch = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &cfg.global_batch, &bad);
     } else if (key == "group_size") {
-      cfg.group_size = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &cfg.group_size, &bad);
     } else if (key == "num_minibatches") {
-      cfg.num_minibatches = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &cfg.num_minibatches, &bad);
     } else if (key == "max_concurrency") {
-      cfg.max_concurrency = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &cfg.max_concurrency, &bad);
     } else if (key == "backlog_cap") {
-      cfg.backlog_cap = static_cast<int64_t>(num);
+      ok = IntegerKey(key, value, num, &cfg.backlog_cap, &bad);
     } else if (key == "staleness_cap") {
-      cfg.staleness_cap = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &cfg.staleness_cap, &bad);
     } else if (key == "repack") {
       cfg.repack_enabled = num != 0.0;
     } else if (key == "repack_period") {
@@ -410,15 +457,13 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
     } else if (key == "static_threshold") {
       cfg.repack_static_threshold = num != 0.0;
     } else if (key == "static_threshold_requests") {
-      cfg.repack_static_threshold_requests = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &cfg.repack_static_threshold_requests, &bad);
     } else if (key == "partial_rollout") {
       cfg.laminar_partial_rollout = num != 0.0;
     } else if (key == "length_drift") {
       cfg.length_drift = num != 0.0;
     } else if (key == "chaos") {
       cfg.chaos_enabled = num != 0.0;
-    } else if (key == "chaos_seed") {
-      cfg.chaos_seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "chaos_start") {
       cfg.chaos.start_seconds = num;
     } else if (key == "chaos_horizon") {
@@ -456,22 +501,23 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
     } else if (key == "serving_slo_per_token") {
       cfg.serving.slo_per_token_seconds = num;
     } else if (key == "serving_dedicated") {
-      cfg.serving.dedicated_replicas = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &cfg.serving.dedicated_replicas, &bad);
     } else if (key == "warmup") {
-      cfg.warmup_iterations = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &cfg.warmup_iterations, &bad, 0);
     } else if (key == "measure") {
-      cfg.measure_iterations = static_cast<int>(num);
-    } else if (key == "config_seed") {
-      cfg.seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = IntegerKey(key, value, num, &cfg.measure_iterations, &bad, 1);
     } else if (key == "diff_sync") {
       scn.diff_sync = num != 0.0;
     } else if (key == "diff_repack") {
       scn.diff_repack = num != 0.0;
     } else if (key == "plan_cases") {
-      scn.plan_cases = static_cast<int>(num);
+      ok = IntegerKey(key, value, num, &scn.plan_cases, &bad);
     } else {
       // Unreachable unless KnownScenarioKey and this chain drift apart.
       return fail("key '" + key + "' is known but unhandled");
+    }
+    if (!ok) {
+      return fail(bad);
     }
   }
   if (cfg.train_gpus <= 0 || cfg.rollout_gpus <= 0) {
@@ -547,6 +593,11 @@ bool ScenarioFromText(const std::string& text, Scenario* out, std::string* error
     }
     if (!(cfg.serving.diurnal_period_seconds > 0.0)) {
       return fail("serving_period must be positive");
+    }
+    if (cfg.serving.base_rate_per_sec * (1.0 + cfg.serving.diurnal_amplitude) *
+            cfg.max_sim_seconds >
+        kMaxExpectedServingArrivals) {
+      return fail("serving_rate expects more than 1e7 peak arrivals over the run");
     }
   }
   cfg.total_gpus = cfg.train_gpus + cfg.rollout_gpus;

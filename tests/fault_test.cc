@@ -8,19 +8,21 @@
 #include "src/fault/fault_process.h"
 #include "src/fault/heartbeat.h"
 #include "src/fault/injector.h"
+#include "tests/scripted_events.h"
 
 namespace laminar {
 namespace {
 
 TEST(HeartbeatTest, DetectsDeathWithinBoundedDelay) {
   Simulator sim;
+  ScriptedEvents script(&sim);
   std::vector<std::pair<int, double>> detected;
   HeartbeatMonitor monitor(&sim, /*period=*/1.0, /*miss_threshold=*/2,
                            [&](int node) { detected.emplace_back(node, sim.Now().seconds()); });
   monitor.Register(0);
   monitor.Register(1);
   monitor.Start();
-  sim.ScheduleAt(SimTime(10.0), [&] { monitor.MarkDead(1); });
+  script.At(SimTime(10.0), [&] { monitor.MarkDead(1); });
   sim.RunUntil(SimTime(30.0));
   ASSERT_EQ(detected.size(), 1u);
   EXPECT_EQ(detected[0].first, 1);
@@ -43,11 +45,12 @@ TEST(HeartbeatTest, HealthyNodesNeverReported) {
 
 TEST(HeartbeatTest, ReviveResetsAndReportsOnlyOnce) {
   Simulator sim;
+  ScriptedEvents script(&sim);
   int reports = 0;
   HeartbeatMonitor monitor(&sim, 1.0, 2, [&](int) { ++reports; });
   monitor.Register(0);
   monitor.Start();
-  sim.ScheduleAt(SimTime(5.0), [&] { monitor.MarkDead(0); });
+  script.At(SimTime(5.0), [&] { monitor.MarkDead(0); });
   sim.RunUntil(SimTime(20.0));
   EXPECT_EQ(reports, 1);  // dead node reported exactly once
   monitor.Revive(0);
@@ -169,6 +172,7 @@ TEST(HeartbeatDeathTest, UnregisteredNodeOperationsCheckFail) {
 
 TEST(HeartbeatTest, SweepReportsInSortedNodeOrder) {
   Simulator sim;
+  ScriptedEvents script(&sim);
   std::vector<int> detected;
   HeartbeatMonitor monitor(&sim, 1.0, 2, [&](int node) { detected.push_back(node); });
   // Registration order deliberately scrambled: report order must follow node
@@ -177,7 +181,7 @@ TEST(HeartbeatTest, SweepReportsInSortedNodeOrder) {
   monitor.Register(1);
   monitor.Register(3);
   monitor.Start();
-  sim.ScheduleAt(SimTime(4.0), [&] {
+  script.At(SimTime(4.0), [&] {
     monitor.MarkDead(5);
     monitor.MarkDead(1);
     monitor.MarkDead(3);
@@ -188,17 +192,19 @@ TEST(HeartbeatTest, SweepReportsInSortedNodeOrder) {
 
 TEST(HeartbeatTest, ShortStallHealsUnnoticed) {
   Simulator sim;
+  ScriptedEvents script(&sim);
   int reports = 0;
   HeartbeatMonitor monitor(&sim, 1.0, 2, [&](int) { ++reports; });
   monitor.Register(0);
   monitor.Start();
-  sim.ScheduleAt(SimTime(5.0), [&] { monitor.Stall(0, 1.5); });
+  script.At(SimTime(5.0), [&] { monitor.Stall(0, 1.5); });
   sim.RunUntil(SimTime(30.0));
   EXPECT_EQ(reports, 0);
 }
 
 TEST(HeartbeatTest, LongStallEscalatesToFailureAndHealIsIgnored) {
   Simulator sim;
+  ScriptedEvents script(&sim);
   std::vector<double> report_times;
   HeartbeatMonitor monitor(&sim, 1.0, 2,
                            [&](int) { report_times.push_back(sim.Now().seconds()); });
@@ -206,7 +212,7 @@ TEST(HeartbeatTest, LongStallEscalatesToFailureAndHealIsIgnored) {
   monitor.Start();
   // A 10 s freeze outlives the 2-period miss threshold: from the monitor's
   // view it is a crash, and the eventual heal must not resurrect the node.
-  sim.ScheduleAt(SimTime(5.2), [&] { monitor.Stall(0, 10.0); });
+  script.At(SimTime(5.2), [&] { monitor.Stall(0, 10.0); });
   sim.RunUntil(SimTime(40.0));
   ASSERT_EQ(report_times.size(), 1u);
   EXPECT_GT(report_times[0], 5.2 + 2.0);
@@ -216,6 +222,7 @@ TEST(HeartbeatTest, LongStallEscalatesToFailureAndHealIsIgnored) {
 
 TEST(HeartbeatTest, PhiScoreGrowsWhileSilent) {
   Simulator sim;
+  ScriptedEvents script(&sim);
   // Huge miss threshold: nothing gets reported, we only watch the score.
   HeartbeatMonitor monitor(&sim, 1.0, 1000, nullptr);
   monitor.Register(0);
@@ -223,10 +230,10 @@ TEST(HeartbeatTest, PhiScoreGrowsWhileSilent) {
   double phi_healthy = -1.0;
   double phi_early = -1.0;
   double phi_late = -1.0;
-  sim.ScheduleAt(SimTime(1.5), [&] { phi_healthy = monitor.PhiScore(0); });
-  sim.ScheduleAt(SimTime(2.5), [&] { monitor.MarkDead(0); });
-  sim.ScheduleAt(SimTime(3.5), [&] { phi_early = monitor.PhiScore(0); });
-  sim.ScheduleAt(SimTime(12.5), [&] { phi_late = monitor.PhiScore(0); });
+  script.At(SimTime(1.5), [&] { phi_healthy = monitor.PhiScore(0); });
+  script.At(SimTime(2.5), [&] { monitor.MarkDead(0); });
+  script.At(SimTime(3.5), [&] { phi_early = monitor.PhiScore(0); });
+  script.At(SimTime(12.5), [&] { phi_late = monitor.PhiScore(0); });
   sim.RunUntil(SimTime(20.0));
   EXPECT_LT(phi_healthy, 0.5);
   EXPECT_GT(phi_late, phi_early + 3.0);

@@ -47,6 +47,17 @@ TEST(FuzzTest, ScenarioTextRoundTrips) {
     ASSERT_TRUE(ScenarioFromText(text, &parsed, &error)) << "seed " << seed << ": " << error;
     EXPECT_EQ(ScenarioToText(parsed), text) << "seed " << seed;
   }
+  // Every committed corpus file parses, and the text its scenario emits
+  // parses back to the same bytes.
+  for (const std::string& path : ListCorpus(LAMINAR_FUZZ_CORPUS_DIR)) {
+    Scenario scn;
+    std::string error;
+    ASSERT_TRUE(LoadScenarioFile(path, &scn, &error)) << path << ": " << error;
+    std::string text = ScenarioToText(scn);
+    Scenario parsed;
+    ASSERT_TRUE(ScenarioFromText(text, &parsed, &error)) << path << ": " << error;
+    EXPECT_EQ(ScenarioToText(parsed), text) << path;
+  }
 }
 
 TEST(FuzzTest, ScenarioParserRejectsGarbage) {
@@ -101,6 +112,28 @@ TEST(FuzzTest, ScenarioParserRejectsGarbage) {
         "chaos_horizon=inf\n", "chaos_horizon=-inf\n", "serving=1\nserving_rate=inf\n"}) {
     EXPECT_FALSE(ScenarioFromText(corpus.str() + edit, &scn, &error)) << edit;
   }
+  // Integer keys take an integral value inside the field's range, with
+  // warmup >= 0 and measure >= 1; seeds take decimal digits only. Each
+  // refusal names its key.
+  for (const char* edit :
+       {"measure=1e20\n", "measure=-3\n", "measure=0\n", "measure=1.5\n", "warmup=-1\n",
+        "warmup=nan\n", "staleness_cap=3e9\n", "num_minibatches=4.5\n", "plan_cases=2.5\n",
+        "serving_dedicated=1e10\n", "backlog_cap=1e19\n", "backlog_cap=nan\n",
+        "seed=abc\n", "seed=-1\n", "seed=12x\n", "seed=99999999999999999999\n",
+        "chaos_seed=1.5\n", "config_seed=0x10\n", "config_seed= 7\n"}) {
+    ASSERT_FALSE(ScenarioFromText(corpus.str() + edit, &scn, &error)) << edit;
+    std::string key(edit, std::string(edit).find('='));
+    EXPECT_NE(error.find("'" + key + "'"), std::string::npos) << error;
+  }
+  // A whole number in any spelling is still an integer.
+  ASSERT_TRUE(ScenarioFromText(corpus.str() + "measure=2.0\nwarmup=0\n", &scn, &error)) << error;
+  EXPECT_EQ(scn.config.measure_iterations, 2);
+  // Serving arrivals are bounded like chaos faults: 1e9/s over the run cap
+  // would allocate until memory runs out.
+  EXPECT_FALSE(ScenarioFromText(corpus.str() + "serving=1\nserving_rate=1e9\n", &scn, &error));
+  ASSERT_TRUE(ScenarioFromText(corpus.str() + "serving=1\nserving_rate=3\nserving_amplitude=0.8\n",
+                               &scn, &error))
+      << error;
 }
 
 TEST(FuzzTest, ScenarioParserSkipsUnknownKeysForwardCompatibly) {

@@ -247,13 +247,12 @@ class TickRecorder : public ContinuationClient {
   std::vector<double> fires_;
 };
 
-// Regression: a PeriodicTask tick re-arms its own event slot in place
-// (RearmCurrentAfter flips the slot to kRearmed rather than retiring it), so
-// a snapshot taken at the barrier immediately after the fire — the smallest
-// representable instant past fire_time — sees the next tick only if the heap
-// walk treats kRearmed slots as live. If it does not, the blob silently
-// drops every periodic driver (heartbeats, repack monitor, serving sweep)
-// whose tick coincides with the barrier, and the direct boot goes quiet.
+// Regression: a snapshot taken at the barrier immediately after a
+// PeriodicTask tick — the smallest representable instant past fire_time —
+// must carry the next tick, which the fired tick scheduled from inside its
+// own callback. If the heap walk misses it, the blob silently drops every
+// periodic driver (heartbeats, repack monitor, serving sweep) whose tick
+// coincides with the barrier, and the direct boot goes quiet.
 TEST(DirectBootTest, RearmedPeriodicTickSurvivesSnapshotAtBarrier) {
   const double barrier =
       std::nextafter(1.0, std::numeric_limits<double>::infinity());
@@ -294,6 +293,48 @@ TEST(DirectBootTest, RearmedPeriodicTickSurvivesSnapshotAtBarrier) {
   boot.RunUntil(SimTime(5.5));
   EXPECT_EQ(rec.fires(), std::vector<double>({1.0, 2.0, 3.0, 4.0, 5.0}));
   EXPECT_EQ(boot_rec.fires(), std::vector<double>({2.0, 3.0, 4.0, 5.0}));
+}
+
+// Every schedule names a registered component, so an event_heap entry with
+// a negative component can only come from a malformed blob: adoption seats
+// it, and the re-mint refuses it with a message instead of dispatching it.
+TEST(DirectBootDeathTest, RefusesHeapEntryWithoutComponent) {
+  std::string entry(48, '\0');       // time key 0, kind 0, zero payload
+  entry.replace(8, 4, 4, '\xff');    // component -1
+  SnapshotWriter writer;
+  writer.BeginSection("sim");
+  writer.F64("now", 0.0);
+  writer.U64("executed", 0);
+  writer.U64("live_events", 1);
+  writer.U64("heap_complete", 1);
+  writer.Bytes("event_heap", entry);
+  writer.EndSection();
+  std::string blob = writer.Finish();
+
+  Simulator boot;
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Parse(blob, &error)) << error;
+  SnapshotTx adopt(&reader, SnapshotMode::kAdopt);
+  boot.Snapshot(adopt);
+  ASSERT_TRUE(adopt.mismatches().empty());
+  EXPECT_DEATH(boot.RemintRestoredEvents(), "names no component");
+}
+
+// Direct boot is Laminar-only: a baseline's blob carries its components but
+// not its orchestration state, so the boot refuses it by name before
+// adopting a field.
+TEST(DirectBootDeathTest, RefusesBaselineDriver) {
+  RlSystemConfig cfg = RestoreConfig();
+  cfg.system = SystemKind::kPartialRollout;
+  cfg.invariants_enabled = false;
+  RlSystemConfig snapped = cfg;
+  snapped.snapshot_at_seconds = 30.0;
+  SystemReport a = RunExperiment(snapped);
+  ASSERT_NE(a.snapshot, nullptr);
+  RlSystemConfig boot = cfg;
+  boot.restore_from = a.snapshot;
+  EXPECT_DEATH(RunExperiment(boot), "direct boot supports the Laminar driver only");
 }
 
 // Re-emits every record of `blob` under another header version: a blob in

@@ -5,6 +5,7 @@
 #include "src/core/laminar_system.h"
 #include "src/core/run.h"
 #include "src/fault/injector.h"
+#include "tests/scripted_events.h"
 
 namespace laminar {
 namespace {
@@ -145,9 +146,10 @@ TEST(LaminarTest, SurvivesRolloutMachineFailure) {
   cfg.measure_iterations = 4;
   auto driver = MakeDriver(cfg);
   auto* laminar = static_cast<LaminarSystem*>(driver.get());
+  ScriptedEvents script(&laminar->sim());
   // Kill rollout machine 0 shortly into the run; the manager must redirect
   // its in-flight work and schedule a replacement.
-  laminar->sim().ScheduleAt(SimTime(40.0), [laminar] {
+  script.At(SimTime(40.0), [laminar] {
     laminar->heartbeats()->MarkDead(0);
   });
   SystemReport rep = driver->Run();
@@ -161,7 +163,8 @@ TEST(LaminarTest, SurvivesTrainerFailure) {
   cfg.measure_iterations = 3;
   auto driver = MakeDriver(cfg);
   auto* laminar = static_cast<LaminarSystem*>(driver.get());
-  laminar->sim().ScheduleAt(SimTime(60.0), [laminar] {
+  ScriptedEvents script(&laminar->sim());
+  script.At(SimTime(60.0), [laminar] {
     laminar->trainer().Kill(/*recovery_seconds=*/45.0);
   });
   SystemReport rep = driver->Run();
@@ -177,7 +180,8 @@ TEST(LaminarTest, SurvivesMasterRelayFailure) {
   cfg.measure_iterations = 3;
   auto driver = MakeDriver(cfg);
   auto* laminar = static_cast<LaminarSystem*>(driver.get());
-  laminar->sim().ScheduleAt(SimTime(30.0), [laminar] {
+  ScriptedEvents script(&laminar->sim());
+  script.At(SimTime(30.0), [laminar] {
     laminar->heartbeats()->MarkDead(laminar->relays()->master());
   });
   SystemReport rep = driver->Run();

@@ -16,6 +16,7 @@
 #include "src/trace/query.h"
 #include "src/trace/trace.h"
 #include "src/trace/trace_io.h"
+#include "tests/scripted_events.h"
 
 namespace laminar {
 namespace {
@@ -104,18 +105,19 @@ TEST(TraceBufferTest, RingModeExactlyFullDropsNothing) {
 
 TEST(TraceSinkTest, StampsEventsWithSimulatorTime) {
   Simulator sim;
+  ScriptedEvents script(&sim);
   TraceConfig config;
   config.enabled = true;
   TraceSink sink(&sim, config);
   sim.set_trace(&sink);
 
-  sim.ScheduleAt(SimTime(2.0), [&] {
+  script.At(SimTime(2.0), [&] {
     LAMINAR_TRACE_INSTANT(&sim, TraceComponent::kTrainer, "t/pub", -1, 7);
   });
-  sim.ScheduleAt(SimTime(5.0), [&] {
+  script.At(SimTime(5.0), [&] {
     LAMINAR_TRACE_SPAN(&sim, TraceComponent::kReplica, "r/busy", 3, SimTime(4.0), 0, 1.5);
   });
-  sim.ScheduleAt(SimTime(6.0), [&] {
+  script.At(SimTime(6.0), [&] {
     LAMINAR_TRACE_COUNTER(&sim, TraceComponent::kData, "d/depth", -1, 42.0);
   });
   sim.RunUntilIdle();
@@ -140,13 +142,14 @@ TEST(TraceSinkTest, StampsEventsWithSimulatorTime) {
 
 TEST(TraceSinkTest, RetroactiveSpanTakesExplicitEnd) {
   Simulator sim;
+  ScriptedEvents script(&sim);
   TraceConfig config;
   config.enabled = true;
   TraceSink sink(&sim, config);
   sim.set_trace(&sink);
   // Emitted at t=10 but describing [1, 3): the pattern the trainer uses for
   // per-iteration phase spans reconstructed after the fact.
-  sim.ScheduleAt(SimTime(10.0), [&] {
+  script.At(SimTime(10.0), [&] {
     LAMINAR_TRACE_SPAN_AT(&sim, TraceComponent::kTrainer, "t/train", -1, SimTime(1.0),
                           SimTime(3.0), 5);
   });
@@ -182,13 +185,14 @@ TEST(TraceMacroTest, DisabledTracingSkipsArgumentEvaluation) {
 
 TraceBuffer BuildSampleBuffer(size_t ring_capacity = 0) {
   Simulator sim;
+  ScriptedEvents script(&sim);
   TraceConfig config;
   config.enabled = true;
   config.ring_capacity = ring_capacity;
   TraceSink sink(&sim, config);
   sim.set_trace(&sink);
   for (int i = 0; i < 20; ++i) {
-    sim.ScheduleAt(SimTime(0.5 * i), [&sim, i] {
+    script.At(SimTime(0.5 * i), [&sim, i] {
       switch (i % 3) {
         case 0:
           LAMINAR_TRACE_INSTANT(&sim, TraceComponent::kTrainer, "trainer/publish", -1, i);
@@ -317,25 +321,25 @@ class TraceQueryTest : public ::testing::Test {
     //   t=8 instant  trainer/publish arg=2
     //   t=9 span     trainer/train over [2, 9)   (retroactive: emitted last,
     //                                             earliest begin)
-    sim_.ScheduleAt(SimTime(1.0), [this] {
+    script_.At(SimTime(1.0), [this] {
       LAMINAR_TRACE_INSTANT(&sim_, TraceComponent::kTrainer, "trainer/publish", -1, 1);
     });
-    sim_.ScheduleAt(SimTime(2.0), [this] {
+    script_.At(SimTime(2.0), [this] {
       LAMINAR_TRACE_COUNTER(&sim_, TraceComponent::kData, "data/depth", -1, 4.0);
     });
-    sim_.ScheduleAt(SimTime(5.0), [this] {
+    script_.At(SimTime(5.0), [this] {
       LAMINAR_TRACE_SPAN(&sim_, TraceComponent::kReplica, "replica/busy", 0, SimTime(3.0));
     });
-    sim_.ScheduleAt(SimTime(6.0), [this] {
+    script_.At(SimTime(6.0), [this] {
       LAMINAR_TRACE_COUNTER(&sim_, TraceComponent::kData, "data/depth", -1, 10.0);
     });
-    sim_.ScheduleAt(SimTime(7.0), [this] {
+    script_.At(SimTime(7.0), [this] {
       LAMINAR_TRACE_SPAN(&sim_, TraceComponent::kReplica, "replica/busy", 1, SimTime(6.0));
     });
-    sim_.ScheduleAt(SimTime(8.0), [this] {
+    script_.At(SimTime(8.0), [this] {
       LAMINAR_TRACE_INSTANT(&sim_, TraceComponent::kTrainer, "trainer/publish", -1, 2);
     });
-    sim_.ScheduleAt(SimTime(9.0), [this] {
+    script_.At(SimTime(9.0), [this] {
       LAMINAR_TRACE_SPAN_AT(&sim_, TraceComponent::kTrainer, "trainer/train", -1,
                             SimTime(2.0), SimTime(9.0));
     });
@@ -344,6 +348,7 @@ class TraceQueryTest : public ::testing::Test {
   }
 
   Simulator sim_;
+  ScriptedEvents script_{&sim_};
   std::unique_ptr<TraceSink> sink_;
   std::unique_ptr<TraceQuery> query_;
 };
